@@ -17,9 +17,10 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "checkpoint/checkpoint.h"
 #include "common/config.h"
 #include "core/opmr.h"
-#include "metrics/report.h"
+#include "engine/job_metrics.h"
 #include "workloads/tasks.h"
 
 int main(int argc, char** argv) {
@@ -69,7 +70,7 @@ int main(int argc, char** argv) {
                 "Replayed", "Recover", "Output"});
   bench::CsvSink csv("ablation_checkpoint.csv");
   csv.Row("interval", "fault", "status", "wall_s", "output_matches",
-          CheckpointCsvHeader());
+          MetricCsvHeader(MetricGroup::kCheckpoint));
 
   for (const auto interval : intervals) {
     for (const auto& [fault_name, faulty] : fault_modes) {
@@ -85,14 +86,14 @@ int main(int argc, char** argv) {
       }
       table.AddRow({std::to_string(interval), fault_name, status,
                     status == "ok" ? HumanSeconds(r.wall_seconds) : "-",
-                    std::to_string(r.checkpoints_written) + " (" +
-                        HumanBytes(double(r.checkpoint_bytes)) + ")",
-                    std::to_string(r.replay_records),
-                    HumanSeconds(r.recover_seconds), output});
+                    std::to_string(r.Bytes(kCheckpointsWritten)) + " (" +
+                        HumanBytes(double(r.Bytes(device::kCheckpointWrite))) +
+                        ")",
+                    std::to_string(r.Bytes(kReplayRecords)),
+                    HumanSeconds(double(r.Bytes(kCheckpointRecoverUs)) / 1e6),
+                    output});
       csv.Row(interval, fault_name, status, r.wall_seconds, output,
-              CheckpointCsvCells(r.checkpoints_written, r.checkpoints_loaded,
-                                 r.checkpoint_bytes, r.replay_records,
-                                 r.recover_seconds));
+              MetricCsvCells(r, MetricGroup::kCheckpoint));
     }
   }
   std::printf("%s", table.ToString().c_str());

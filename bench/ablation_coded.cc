@@ -19,6 +19,7 @@
 #include "common/config.h"
 #include "common/format.h"
 #include "core/opmr.h"
+#include "engine/job_metrics.h"
 #include "net/loopback.h"
 #include "workloads/clickstream.h"
 #include "workloads/tasks.h"
@@ -43,6 +44,7 @@ int main(int argc, char** argv) {
     std::int64_t net_bytes = 0;
     std::int64_t remap_tasks = 0;
     int map_tasks = 0;
+    std::vector<std::string> coded_cells;  // the coded group's CSV columns
   };
   std::vector<Point> points;
 
@@ -72,9 +74,10 @@ int main(int argc, char** argv) {
     p.cpu_s = res.total_cpu_seconds;
     p.payload_bytes = res.Bytes(coded::kCodedPayloadBytes);
     p.frames = res.Bytes(coded::kCodedFrames);
-    p.net_bytes = res.net_bytes_sent;
+    p.net_bytes = res.Bytes(net::kNetBytesSent);
     p.remap_tasks = res.Bytes(coded::kCodedRemapTasks);
     p.map_tasks = res.num_map_tasks;
+    p.coded_cells = MetricCsvCells(res, MetricGroup::kCoded);
     points.push_back(p);
   }
 
@@ -82,15 +85,14 @@ int main(int argc, char** argv) {
   table.AddRow({"r", "Wall time", "CPU", "Coded payload", "Frames",
                 "Net bytes", "Re-maps"});
   bench::CsvSink csv("ablation_coded.csv");
-  csv.Row("r", "wall_s", "cpu_s", "coded_payload_bytes", "coded_frames",
-          "net_bytes_sent", "remap_tasks", "map_tasks");
+  csv.Row("r", "wall_s", "cpu_s", "map_tasks", net::kNetBytesSent,
+          MetricCsvHeader(MetricGroup::kCoded));
   for (const auto& p : points) {
     table.AddRow({std::to_string(p.r), HumanSeconds(p.wall_s),
                   HumanSeconds(p.cpu_s), HumanBytes(double(p.payload_bytes)),
                   std::to_string(p.frames), HumanBytes(double(p.net_bytes)),
                   std::to_string(p.remap_tasks)});
-    csv.Row(p.r, p.wall_s, p.cpu_s, p.payload_bytes, p.frames, p.net_bytes,
-            p.remap_tasks, p.map_tasks);
+    csv.Row(p.r, p.wall_s, p.cpu_s, p.map_tasks, p.net_bytes, p.coded_cells);
   }
   std::printf("%s", table.ToString().c_str());
 

@@ -13,7 +13,7 @@
 #include "bench_util.h"
 #include "common/config.h"
 #include "core/opmr.h"
-#include "metrics/report.h"
+#include "engine/job_metrics.h"
 #include "workloads/tasks.h"
 
 int main(int argc, char** argv) {
@@ -42,7 +42,8 @@ int main(int argc, char** argv) {
   table.AddRow({"Fault rate", "Policy", "Status", "Wall time", "Map retries",
                 "Reduce retries", "Spec (wins)", "Faults"});
   bench::CsvSink csv("ablation_faults.csv");
-  csv.Row("rate", "policy", "status", "wall_s", RecoveryCsvHeader());
+  csv.Row("rate", "policy", "status", "wall_s",
+          MetricCsvHeader(MetricGroup::kRecovery));
 
   for (double rate : rates) {
     for (const auto& policy : policies) {
@@ -75,15 +76,13 @@ int main(int argc, char** argv) {
       }
       table.AddRow({std::to_string(rate), policy.name, status,
                     status == "ok" ? HumanSeconds(r.wall_seconds) : "-",
-                    std::to_string(r.map_task_retries),
-                    std::to_string(r.reduce_task_retries),
-                    std::to_string(r.speculative_launched) + " (" +
-                        std::to_string(r.speculative_wins) + ")",
-                    std::to_string(r.faults_injected)});
+                    std::to_string(r.Bytes(kRetryMapTask)),
+                    std::to_string(r.Bytes(kRetryReduceTask)),
+                    std::to_string(r.Bytes(kSpecLaunched)) + " (" +
+                        std::to_string(r.Bytes(kSpecWins)) + ")",
+                    std::to_string(r.Bytes(kFaultsInjected))});
       csv.Row(rate, policy.name, status, r.wall_seconds,
-              RecoveryCsvCells(r.map_task_retries, r.reduce_task_retries,
-                               r.speculative_launched, r.speculative_wins,
-                               r.faults_injected));
+              MetricCsvCells(r, MetricGroup::kRecovery));
     }
   }
   std::printf("%s", table.ToString().c_str());

@@ -31,7 +31,7 @@
 #include "common/crc32c.h"
 #include "core/opmr.h"
 #include "dataplane/event_loop.h"
-#include "metrics/report.h"
+#include "engine/job_metrics.h"
 #include "net/loopback.h"
 #include "net/tcp.h"
 #include "workloads/tasks.h"
@@ -181,7 +181,8 @@ int main(int argc, char** argv) {
                 "Net frames", "Net bytes", "MB/s", "Sys/frame", "Digest"});
   bench::CsvSink csv("ablation_transport.csv");
   csv.Row("transport", "chunk_bytes", "wall_s", "pushed", "diverted",
-          "mb_s", "syscalls_per_frame", "digest", WireCsvHeader());
+          "mb_s", "syscalls_per_frame", "digest",
+          MetricCsvHeader(MetricGroup::kWire));
 
   struct Point {
     std::string transport;
@@ -203,7 +204,7 @@ int main(int argc, char** argv) {
   for (const std::size_t chunk : chunks) {
     std::uint32_t reference_digest = 0;
     bool have_reference = false;
-    for (const std::string& transport :
+    for (const std::string transport :
          {"direct", "loopback", "tcp", "epoll"}) {
       JobOptions options = MapReduceOnlineOptions();
       options.push_chunk_bytes = chunk;
@@ -223,16 +224,15 @@ int main(int argc, char** argv) {
       pt.wall_s = r.wall_seconds;
       pt.pushed = r.Bytes(device::kPushedChunks);
       pt.diverted = r.Bytes(device::kDivertedChunks);
-      pt.net_frames = r.net_frames_sent;
-      pt.net_bytes = r.net_bytes_sent;
+      pt.net_frames = r.Bytes(net::kNetFramesSent);
+      pt.net_bytes = r.Bytes(net::kNetBytesSent);
       pt.mb_s = r.wall_seconds > 0
-                    ? static_cast<double>(r.net_bytes_sent) / r.wall_seconds /
-                          1e6
+                    ? static_cast<double>(pt.net_bytes) / r.wall_seconds / 1e6
                     : 0.0;
       pt.syscalls_per_frame =
-          r.net_frames_sent > 0
+          pt.net_frames > 0
               ? static_cast<double>(r.Bytes(net::kNetSendSyscalls)) /
-                    static_cast<double>(r.net_frames_sent)
+                    static_cast<double>(pt.net_frames)
               : 0.0;
       pt.digest = DigestRows(platform.ReadOutput(out_name, 4));
       if (!have_reference) {
@@ -251,10 +251,7 @@ int main(int argc, char** argv) {
                     Fixed(pt.syscalls_per_frame), Fixed(pt.digest, 0)});
       csv.Row(transport, chunk, pt.wall_s, pt.pushed, pt.diverted, pt.mb_s,
               pt.syscalls_per_frame, pt.digest,
-              WireCsvCells(r.net_bytes_sent, r.net_bytes_received,
-                           r.net_frames_sent, r.net_frames_received,
-                           r.net_retransmits, r.net_reconnects,
-                           r.net_stall_seconds, r.shuffle_ack_replays));
+              MetricCsvCells(r, MetricGroup::kWire));
       points.push_back(pt);
     }
   }
@@ -271,7 +268,7 @@ int main(int argc, char** argv) {
   wire_table.AddRow({"Transport", "Chunk bytes", "Payload", "Wall time",
                      "MB/s", "Sys/frame"});
   std::vector<WirePoint> wire_points;
-  for (const std::string& transport : {"tcp", "epoll"}) {
+  for (const std::string transport : {"tcp", "epoll"}) {
     for (const std::size_t chunk : chunks) {
       const auto pt = SaturateWire(transport, chunk, wire_bytes);
       wire_table.AddRow({pt.transport, HumanBytes(double(pt.chunk_bytes)),

@@ -23,7 +23,7 @@ inline std::filesystem::path OutDir() {
 }
 
 // CSV sink that flattens mixed cell types — strings, numbers, and whole
-// column groups (RecoveryCsvCells & co.) — into one row.  Replaces the
+// column groups (MetricCsvCells & co.) — into one row.  Replaces the
 // header/row splice boilerplate every ablation binary used to hand-roll.
 class CsvSink {
  public:

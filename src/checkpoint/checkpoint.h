@@ -47,6 +47,16 @@ namespace opmr {
 // covers both, so job-completion GC also reclaims published snapshots.
 inline constexpr const char* kServeJobSuffix = ".serve";
 
+// Checkpoint activity counters (surfaced in the job report).
+inline constexpr const char* kCheckpointsWritten = "checkpoint.written";
+inline constexpr const char* kCheckpointsLoaded = "checkpoint.loaded";
+inline constexpr const char* kCheckpointsCorrupt = "checkpoint.corrupt";
+inline constexpr const char* kCheckpointsSwept = "checkpoint.swept";
+inline constexpr const char* kCheckpointRecoverUs = "checkpoint.recover_us";
+// Shuffle (batch) or source (streaming) records re-delivered after a
+// restore or a rewind.
+inline constexpr const char* kReplayRecords = "recovery.replay_records";
+
 // One checkpoint's logical content, independent of on-disk framing.  The
 // owner (batch reducer / streaming worker) fills it before Write and applies
 // it after LoadLatest.

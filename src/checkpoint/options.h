@@ -36,7 +36,7 @@ struct CheckpointOptions {
 
   // Directory for checkpoint files; empty uses a `checkpoints/` subtree of
   // the job workspace (cleaned up with it).
-  std::string dir;
+  std::string dir{};
 
   // Map-side retention budget for consumed in-memory pushed chunks awaiting
   // acknowledgement; beyond it the shuffle spills retained payloads to disk.

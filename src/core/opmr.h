@@ -51,8 +51,8 @@ struct PlatformOptions {
   double reduce_speculation_threshold = 2.0;
   // Chaos plane: FaultPlan spec string or plan-file path (see
   // FaultPlan::Load); empty = no injection.
-  std::string fault_plan;
-  std::string workspace;  // empty → unique temp directory
+  std::string fault_plan{};
+  std::string workspace{};  // empty → unique temp directory
   // --- Data plane -----------------------------------------------------------
   // SO_SNDBUF/SO_RCVBUF for shuffle sockets (tcp and epoll transports);
   // 0 keeps the kernel default.  Plumbed into the transport options by the

@@ -29,7 +29,7 @@
 
 namespace opmr::dataplane {
 
-// Metric names charged by the cache (surfaced in JobResult / reports).
+// Metric names charged by the cache (surfaced in the job report).
 inline constexpr const char* kBlockCacheHits = "blockcache.hits";
 inline constexpr const char* kBlockCacheMisses = "blockcache.misses";
 inline constexpr const char* kBlockCacheEvictions = "blockcache.evictions";

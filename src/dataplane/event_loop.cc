@@ -1042,14 +1042,12 @@ void EventLoopTransport::ServiceConn(ElConn* conn, bool timer_tick) {
 void EventLoopTransport::LoopMain() {
   loop_tid_.store(std::this_thread::get_id(), std::memory_order_release);
   bool listen_registered = false;
-  std::vector<std::shared_ptr<ElConn>> snapshot;
+  std::vector<std::shared_ptr<ElConn>> snapshot;  // conns of the last pass
   epoll_event events[64];
   while (!stop_.load(std::memory_order_acquire)) {
-    snapshot.clear();
     int epfd = -1;
     {
       std::scoped_lock lock(mu_);
-      snapshot = conns_;
       epfd = epoll_fd_;
       if (!listen_registered && listen_fd_ >= 0 && handler_) {
         epoll_event ev{};
@@ -1084,6 +1082,15 @@ void EventLoopTransport::LoopMain() {
       } else if (events[i].events & (EPOLLIN | EPOLLERR | EPOLLHUP)) {
         ReadReady(static_cast<ElConn*>(ptr));
       }
+    }
+    // Snapshot only after the wake fd is drained: a connection added while
+    // we slept announced itself with a wakeup this pass consumed, so this
+    // pass must service it.  A snapshot taken before epoll_wait missed it
+    // and left its registration and queued bytes waiting for an event that
+    // never came (a lost wakeup; Close() then waited forever).
+    {
+      std::scoped_lock lock(mu_);
+      snapshot = conns_;
     }
     for (const auto& conn : snapshot) {
       ServiceConn(conn.get(), timer_tick);

@@ -16,6 +16,7 @@
 #include "dataplane/block_cache.h"
 #include "dfs/dfs.h"
 #include "engine/job.h"
+#include "engine/job_metrics.h"
 #include "engine/reduce_common.h"
 #include "metrics/counters.h"
 #include "metrics/timeline.h"
@@ -160,11 +161,11 @@ struct ClusterOptions {
   // Registered worker id this process joined the group as; carried in the
   // shuffle Hello so the reduce side can key its per-sender ack watermark.
   // Empty in the single-process / forked modes.
-  std::string worker_id;
+  std::string worker_id{};
 
   // Shared secret authenticating shuffle Hello and coordinator Register
   // frames.  Empty disables authentication.
-  std::string shuffle_secret;
+  std::string shuffle_secret{};
 
   // Horizontal map partition for multi-worker map groups: this worker
   // runs exactly the input blocks whose global index i satisfies
@@ -214,7 +215,9 @@ struct JobResult {
   std::string job_name;
   double wall_seconds = 0.0;
 
-  // Data volumes (job-scoped deltas of the metric registry).
+  // Job-scoped deltas of the metric registry: every counter the job
+  // charged, read through Bytes().  engine/job_metrics.h declares which of
+  // them the report shows and how.
   std::map<std::string, std::int64_t> counters;
 
   // Per-phase CPU seconds across all task threads (Table II / §V).
@@ -232,42 +235,6 @@ struct JobResult {
   int num_map_tasks = 0;
   int num_reduce_tasks = 0;
   int local_map_tasks = 0;   // scheduled on a node holding the block
-
-  // Recovery activity (all zero in a clean run).
-  int map_task_retries = 0;     // failed map attempts that were re-executed
-  int reduce_task_retries = 0;  // failed reduce attempts that were re-run
-  int speculative_launched = 0; // backup map attempts started
-  int speculative_wins = 0;     // backups that published before the original
-  int spec_reduce_launched = 0; // backup reduce attempts started (takeover)
-  int spec_reduce_seeded_from_ckpt = 0;  // backups seeded from a checkpoint
-  int spec_reduce_wins = 0;     // backup reduce attempts that completed
-  std::int64_t faults_injected = 0;  // chaos-plane faults fired (all points)
-
-  // Checkpoint activity (all zero with checkpointing off).
-  std::int64_t checkpoints_written = 0;
-  std::int64_t checkpoints_loaded = 0;   // restores performed by retries
-  std::int64_t checkpoint_bytes = 0;     // bytes committed to checkpoints
-  std::int64_t replay_records = 0;       // shuffle records re-delivered
-  double recover_seconds = 0.0;          // time spent restoring checkpoints
-  std::int64_t checkpoints_swept = 0;    // stale files GC'd after completion
-
-  // Wire activity (all zero on the seed's direct in-process path).
-  std::int64_t net_bytes_sent = 0;
-  std::int64_t net_bytes_received = 0;
-  std::int64_t net_frames_sent = 0;
-  std::int64_t net_frames_received = 0;
-  std::int64_t net_retransmits = 0;      // frame sends retried after a drop
-  std::int64_t net_reconnects = 0;       // client connections re-established
-  double net_stall_seconds = 0.0;        // injected stalls + reconnect waits
-  std::int64_t shuffle_ack_replays = 0;  // ack-window replay passes
-  std::int64_t shuffle_ack_replayed_frames = 0;  // frames resent by replays
-  std::int64_t shuffle_dup_frames = 0;   // dups absorbed by the watermark
-
-  // Reducer-side block cache (zero unless a checkpoint-restart replayed
-  // retention spills; see ClusterOptions::block_cache_bytes).
-  std::int64_t block_cache_hits = 0;       // replays served from memory
-  std::int64_t block_cache_misses = 0;     // replays that re-read the spill
-  std::int64_t block_cache_evictions = 0;  // entries dropped for capacity
 
   // Per-reducer output records: the partition-skew signal (related work
   // [19] targets exactly this imbalance).
@@ -288,7 +255,7 @@ struct JobResult {
 
   std::vector<TaskInterval> timeline;
 
-  // Convenience accessors over `counters`.
+  // Job-scoped value of counter `name` (0 if never charged).
   [[nodiscard]] std::int64_t Bytes(const std::string& name) const {
     auto it = counters.find(name);
     return it == counters.end() ? 0 : it->second;

@@ -7,6 +7,7 @@
 #include <system_error>
 #include <utility>
 
+#include "checkpoint/checkpoint.h"
 #include "common/crc32c.h"
 #include "storage/io.h"
 
@@ -21,7 +22,7 @@ ShuffleService::ShuffleService(int num_map_tasks, int num_reducers,
       shuffle_read_(metrics, device::kShuffleRead),
       retain_write_(metrics, device::kRetainWrite),
       replay_records_(metrics != nullptr
-                          ? metrics->Get("recovery.replay_records")
+                          ? metrics->Get(kReplayRecords)
                           : nullptr),
       queues_(num_reducers) {
   if (num_reducers <= 0) {

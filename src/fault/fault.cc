@@ -133,7 +133,7 @@ const char* FaultPointName(FaultPoint point) noexcept {
 std::string FaultSpec::ToString() const {
   std::ostringstream out;
   out << FaultPointName(point);
-  std::string sep = ":";
+  const char* sep = ":";
   auto add = [&](const std::string& key, const std::string& value) {
     out << sep << key << "=" << value;
     sep = ",";
@@ -187,7 +187,10 @@ FaultPlan FaultPlan::Load(const std::string& file_or_spec) {
 
 std::string FaultPlan::ToString() const {
   std::string out = "seed=" + std::to_string(seed);
-  for (const auto& f : faults) out += ";" + f.ToString();
+  for (const auto& f : faults) {
+    out += ';';
+    out += f.ToString();
+  }
   return out;
 }
 
@@ -206,7 +209,7 @@ const FaultScope::Frame& FaultScope::Current() noexcept { return t_frame; }
 
 FaultInjector::FaultInjector(FaultPlan plan, MetricRegistry* metrics)
     : plan_(std::move(plan)), metrics_(metrics) {
-  injected_ = metrics_->Get("faults.injected");
+  injected_ = metrics_->Get(kFaultsInjected);
   slowed_records_ = metrics_->Get("faults.slowed_records");
   per_spec_.reserve(plan_.faults.size());
   for (const auto& spec : plan_.faults) {

@@ -131,6 +131,9 @@ class FaultScope {
   Frame saved_;
 };
 
+// Total of every fired fault, across all points (surfaced in the job report).
+inline constexpr const char* kFaultsInjected = "faults.injected";
+
 // Evaluates a FaultPlan at the engine's fault sites.  Thread-safe and
 // stateless between calls: decisions depend only on (seed, coordinates),
 // so concurrent tasks cannot perturb each other's faults.  Counts every

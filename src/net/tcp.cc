@@ -541,8 +541,12 @@ void TcpTransport::Shutdown() {
     listen_fd = listen_fd_;
     listen_fd_ = -1;
   }
-  if (listen_fd >= 0) ::shutdown(listen_fd, SHUT_RDWR);  // wakes accept()
-  if (accept_thread_.joinable()) accept_thread_.join();
+  // shutdown(2) acts on the socket, not the descriptor: a listener bound
+  // before fork() is shared with the other process, so only the process
+  // accepting on it may shut it down.  Anyone else just closes its copy.
+  const bool accepting = accept_thread_.joinable();
+  if (listen_fd >= 0 && accepting) ::shutdown(listen_fd, SHUT_RDWR);
+  if (accepting) accept_thread_.join();
   if (listen_fd >= 0) ::close(listen_fd);
   for (auto& conn : clients) conn->Close();
   for (auto& conn : servers) {

@@ -150,7 +150,7 @@ void SetNetFaultHook(NetFaultHook* hook);
 
 // --- Wire metric names -------------------------------------------------------
 // Charged into the owning MetricRegistry by both transports; surfaced as
-// the wire-metrics block of JobResult and the CSV reports.
+// the wire group of the job report and CSVs (engine/job_metrics.h).
 
 inline constexpr const char* kNetBytesSent = "net.bytes_sent";
 inline constexpr const char* kNetBytesReceived = "net.bytes_received";

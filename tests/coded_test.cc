@@ -232,7 +232,7 @@ TEST(CodedShuffle, ByteIdenticalToDirectAtR2OverLoopbackAndTcp) {
     // job itself never retried a map task.
     EXPECT_EQ(coded.result.Bytes(coded::kCodedRemapTasks),
               2 * coded.result.num_map_tasks);
-    EXPECT_EQ(coded.result.map_task_retries, 0);
+    EXPECT_EQ(coded.result.Bytes(kRetryMapTask), 0);
   }
 }
 
@@ -263,8 +263,8 @@ TEST(CodedShuffle, InjectedConnDropIsInvisibleInTheAnswer) {
   const auto dropped =
       RunCoded(Wire::kTcp, /*coded_r=*/2, "seed=7;conn_drop:record=2");
   EXPECT_EQ(AsMap(dropped.rows), AsMap(clean.rows));
-  EXPECT_GE(dropped.result.faults_injected, 1);
-  EXPECT_GE(dropped.result.net_reconnects, 1);
+  EXPECT_GE(dropped.result.Bytes(kFaultsInjected), 1);
+  EXPECT_GE(dropped.result.Bytes(net::kNetReconnects), 1);
 }
 
 TEST(CodedShuffle, MidJobKillIsRecoveredFromReplicasWithoutMapRerun) {
@@ -278,7 +278,7 @@ TEST(CodedShuffle, MidJobKillIsRecoveredFromReplicasWithoutMapRerun) {
                                /*kill_after=*/2);
   EXPECT_EQ(AsMap(killed.rows), AsMap(clean.rows));
   EXPECT_GT(killed.result.Bytes(coded::kCodedReconstructedSegments), 0);
-  EXPECT_EQ(killed.result.map_task_retries, 0)
+  EXPECT_EQ(killed.result.Bytes(kRetryMapTask), 0)
       << "reconstruction must not re-execute maps";
   EXPECT_EQ(killed.result.Bytes(coded::kCodedRemapTasks),
             2 * killed.result.num_map_tasks)

@@ -20,6 +20,7 @@
 #include "coord/member.h"
 #include "coord/registry.h"
 #include "core/opmr.h"
+#include "engine/shuffle_remote.h"
 #include "fault/fault.h"
 #include "net/tcp.h"
 #include "sched/scheduler.h"
@@ -399,9 +400,9 @@ TEST(CoordChaos, HeartbeatLossAndPeerCrashRecoverViaAckReplay) {
   coordinator.Stop();
   coord_wire.Shutdown();
 
-  EXPECT_GE(result.shuffle_ack_replays, 1);
-  EXPECT_GE(result.shuffle_ack_replayed_frames, 1);
-  EXPECT_GE(result.faults_injected, 1);
+  EXPECT_GE(result.Bytes(kShuffleAckReplays), 1);
+  EXPECT_GE(result.Bytes(kShuffleAckReplayedFrames), 1);
+  EXPECT_GE(result.Bytes(kFaultsInjected), 1);
   EXPECT_EQ(AsMap(platform.ReadOutput("out", 2)), truth);
 }
 
@@ -445,8 +446,8 @@ TEST(CoordChaos, ConnDropUnderCoordinationWiringStaysCorrect) {
   coordinator.Stop();
   coord_wire.Shutdown();
 
-  EXPECT_GE(result.faults_injected, 1);
-  EXPECT_GE(result.net_reconnects, 1);
+  EXPECT_GE(result.Bytes(kFaultsInjected), 1);
+  EXPECT_GE(result.Bytes(net::kNetReconnects), 1);
   EXPECT_EQ(AsMap(platform.ReadOutput("out", 2)), truth);
 }
 

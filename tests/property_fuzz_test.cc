@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <map>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -181,6 +182,11 @@ struct HolisticConfig {
   Shuffle shuffle;
   std::size_t buffers;
 };
+
+// Without a printer gtest dumps the raw bytes of the parameter, which
+// include the std::string's heap pointer, so the listed test name would
+// change with address-space layout from one test discovery to the next.
+void PrintTo(const HolisticConfig& cfg, std::ostream* os) { *os << cfg.name; }
 
 class HolisticFuzz : public ::testing::TestWithParam<HolisticConfig> {};
 

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "checkpoint/checkpoint.h"
 #include "core/opmr.h"
 #include "dataplane/block_cache.h"
 #include "dataplane/event_loop.h"
@@ -114,14 +115,14 @@ TEST(TransportShuffle, PullJobIsByteIdenticalAcrossTransports) {
   EXPECT_EQ(epoll.rows, direct.rows);
 
   // Only the transported runs moved frames.
-  EXPECT_EQ(direct.result.net_frames_sent, 0);
-  EXPECT_GT(loopback.result.net_frames_sent, 0);
-  EXPECT_GT(loopback.result.net_bytes_sent, 0);
-  EXPECT_GT(tcp.result.net_frames_sent, 0);
-  EXPECT_GT(tcp.result.net_bytes_received, 0);
-  EXPECT_EQ(tcp.result.net_retransmits, 0);
+  EXPECT_EQ(direct.result.Bytes(net::kNetFramesSent), 0);
+  EXPECT_GT(loopback.result.Bytes(net::kNetFramesSent), 0);
+  EXPECT_GT(loopback.result.Bytes(net::kNetBytesSent), 0);
+  EXPECT_GT(tcp.result.Bytes(net::kNetFramesSent), 0);
+  EXPECT_GT(tcp.result.Bytes(net::kNetBytesReceived), 0);
+  EXPECT_EQ(tcp.result.Bytes(net::kNetRetransmits), 0);
   // The epoll run batched data frames into blocks; same answer regardless.
-  EXPECT_GT(epoll.result.net_frames_sent, 0);
+  EXPECT_GT(epoll.result.Bytes(net::kNetFramesSent), 0);
   EXPECT_GT(epoll.result.Bytes(dataplane::kBlocksSent), 0);
   EXPECT_EQ(epoll.result.Bytes(dataplane::kBlocksSent),
             epoll.result.Bytes(dataplane::kBlocksReceived));
@@ -155,7 +156,8 @@ TEST(TransportShuffle, InlineSegmentShippingMatchesSharedFilesystem) {
 
   ASSERT_GT(by_ref.rows.size(), 0u);
   EXPECT_EQ(by_bytes.rows, by_ref.rows);
-  EXPECT_GT(by_bytes.result.net_bytes_sent, by_ref.result.net_bytes_sent)
+  EXPECT_GT(by_bytes.result.Bytes(net::kNetBytesSent),
+            by_ref.result.Bytes(net::kNetBytesSent))
       << "inline segment payloads must outweigh path references";
 
   // Over the epoll data plane the inline segment bodies leave through
@@ -175,9 +177,9 @@ TEST(TransportShuffle, InjectedConnDropIsInvisibleInTheAnswer) {
                                "seed=7;conn_drop:record=2");
 
   EXPECT_EQ(AsMap(dropped.rows), AsMap(clean.rows));
-  EXPECT_GE(dropped.result.faults_injected, 1);
-  EXPECT_GE(dropped.result.net_retransmits, 1);
-  EXPECT_GE(dropped.result.net_reconnects, 1);
+  EXPECT_GE(dropped.result.Bytes(kFaultsInjected), 1);
+  EXPECT_GE(dropped.result.Bytes(net::kNetRetransmits), 1);
+  EXPECT_GE(dropped.result.Bytes(net::kNetReconnects), 1);
 }
 
 TEST(TransportShuffle, InjectedConnDropOverEpollIsInvisibleInTheAnswer) {
@@ -190,9 +192,9 @@ TEST(TransportShuffle, InjectedConnDropOverEpollIsInvisibleInTheAnswer) {
                                "seed=7;conn_drop:record=2");
 
   EXPECT_EQ(AsMap(dropped.rows), AsMap(clean.rows));
-  EXPECT_GE(dropped.result.faults_injected, 1);
-  EXPECT_GE(dropped.result.net_retransmits, 1);
-  EXPECT_GE(dropped.result.net_reconnects, 1);
+  EXPECT_GE(dropped.result.Bytes(kFaultsInjected), 1);
+  EXPECT_GE(dropped.result.Bytes(net::kNetRetransmits), 1);
+  EXPECT_GE(dropped.result.Bytes(net::kNetReconnects), 1);
 }
 
 TEST(TransportShuffle, CheckpointRestartServesReplayFromBlockCache) {
@@ -219,11 +221,11 @@ TEST(TransportShuffle, CheckpointRestartServesReplayFromBlockCache) {
   const JobResult result =
       platform.Run(PerUserCountJob("clicks", "out", 2), options);
 
-  EXPECT_EQ(result.reduce_task_retries, 1);
-  EXPECT_GT(result.replay_records, 0);
-  EXPECT_GT(result.block_cache_hits, 0)
+  EXPECT_EQ(result.Bytes(kRetryReduceTask), 1);
+  EXPECT_GT(result.Bytes(kReplayRecords), 0);
+  EXPECT_GT(result.Bytes(dataplane::kBlockCacheHits), 0)
       << "checkpoint-seeded replay must hit the block cache";
-  EXPECT_EQ(result.block_cache_misses, 0)
+  EXPECT_EQ(result.Bytes(dataplane::kBlockCacheMisses), 0)
       << "nothing evicted at this scale: every spilled payload stays cached";
 
   // The cached replay is invisible in the answer: same rows as a clean
@@ -242,9 +244,10 @@ TEST(TransportShuffle, InjectedStallIsAccountedAsStallTime) {
   const auto stalled = RunMode(Mode::kTcp, HashOnePassOptions(),
                                "seed=7;net_stall:record=3,delay_ms=40");
   ASSERT_GT(stalled.rows.size(), 0u);
-  EXPECT_GE(stalled.result.faults_injected, 1);
-  EXPECT_GE(stalled.result.net_stall_seconds, 0.04);
-  EXPECT_EQ(stalled.result.net_retransmits, 0) << "a stall is not a drop";
+  EXPECT_GE(stalled.result.Bytes(kFaultsInjected), 1);
+  EXPECT_GE(stalled.result.Bytes(net::kNetStallNanos), 40'000'000);  // 40 ms
+  EXPECT_EQ(stalled.result.Bytes(net::kNetRetransmits), 0)
+      << "a stall is not a drop";
 }
 
 }  // namespace

@@ -163,7 +163,6 @@
 #include <thread>
 #include <vector>
 
-#include "coded/coded.h"
 #include "common/config.h"
 #include "dataplane/event_loop.h"
 #include "common/rng.h"
@@ -171,6 +170,7 @@
 #include "coord/coordinator.h"
 #include "coord/member.h"
 #include "core/opmr.h"
+#include "engine/job_metrics.h"
 #include "metrics/timeseries.h"
 #include "net/loopback.h"
 #include "net/tcp.h"
@@ -283,105 +283,9 @@ void PrintJobReport(const JobResult& r) {
                 r.first_output_seconds < 0
                     ? "-"
                     : HumanSeconds(r.first_output_seconds)});
-  table.AddRow({"dfs read", HumanBytes(double(r.Bytes(device::kDfsRead)))});
-  table.AddRow({"map output bytes",
-                HumanBytes(double(r.Bytes(device::kMapOutputWrite)))});
-  table.AddRow({"shuffle bytes",
-                HumanBytes(double(r.Bytes(device::kShuffleRead)))});
-  table.AddRow({"reduce spill",
-                HumanBytes(double(r.Bytes(device::kSpillWrite)))});
-  table.AddRow({"dfs written", HumanBytes(double(r.Bytes(device::kDfsWrite)))});
-  if (r.map_task_retries > 0 || r.reduce_task_retries > 0 ||
-      r.speculative_launched > 0 || r.spec_reduce_launched > 0 ||
-      r.faults_injected > 0) {
-    table.AddRow({"map task retries", std::to_string(r.map_task_retries)});
-    table.AddRow(
-        {"reduce task retries", std::to_string(r.reduce_task_retries)});
-    table.AddRow({"speculative (wins)",
-                  std::to_string(r.speculative_launched) + " (" +
-                      std::to_string(r.speculative_wins) + ")"});
-    table.AddRow({"spec reduce (seeded/wins)",
-                  std::to_string(r.spec_reduce_launched) + " (" +
-                      std::to_string(r.spec_reduce_seeded_from_ckpt) + "/" +
-                      std::to_string(r.spec_reduce_wins) + ")"});
-    table.AddRow({"faults injected", std::to_string(r.faults_injected)});
-  }
-  if (r.checkpoints_written > 0 || r.checkpoints_loaded > 0 ||
-      r.replay_records > 0) {
-    table.AddRow(
-        {"checkpoints written", std::to_string(r.checkpoints_written)});
-    table.AddRow({"checkpoints loaded", std::to_string(r.checkpoints_loaded)});
-    table.AddRow(
-        {"checkpoint bytes", HumanBytes(double(r.checkpoint_bytes))});
-    table.AddRow({"replayed records", std::to_string(r.replay_records)});
-    table.AddRow({"recover time", HumanSeconds(r.recover_seconds)});
-    if (r.block_cache_hits > 0 || r.block_cache_misses > 0) {
-      table.AddRow({"block cache (hits/misses)",
-                    std::to_string(r.block_cache_hits) + "/" +
-                        std::to_string(r.block_cache_misses)});
-      table.AddRow(
-          {"block cache evictions", std::to_string(r.block_cache_evictions)});
-    }
-  }
-  if (r.net_frames_sent > 0 || r.net_frames_received > 0) {
-    table.AddRow({"net sent",
-                  HumanBytes(double(r.net_bytes_sent)) + " (" +
-                      std::to_string(r.net_frames_sent) + " frames)"});
-    table.AddRow({"net received",
-                  HumanBytes(double(r.net_bytes_received)) + " (" +
-                      std::to_string(r.net_frames_received) + " frames)"});
-    table.AddRow({"net retransmits", std::to_string(r.net_retransmits)});
-    table.AddRow({"net reconnects", std::to_string(r.net_reconnects)});
-    table.AddRow({"net stall time", HumanSeconds(r.net_stall_seconds)});
-    if (r.Bytes(net::kNetSendSyscalls) > 0) {
-      table.AddRow({"net syscalls (send/recv)",
-                    std::to_string(r.Bytes(net::kNetSendSyscalls)) + "/" +
-                        std::to_string(r.Bytes(net::kNetRecvSyscalls))});
-    }
-    if (r.Bytes(dataplane::kBlocksSent) > 0 ||
-        r.Bytes(dataplane::kBlocksReceived) > 0) {
-      table.AddRow({"blocks sent (compressed)",
-                    std::to_string(r.Bytes(dataplane::kBlocksSent)) + " (" +
-                        std::to_string(r.Bytes(dataplane::kBlocksCompressed)) +
-                        ")"});
-      table.AddRow({"blocks received",
-                    std::to_string(r.Bytes(dataplane::kBlocksReceived))});
-      if (r.Bytes(dataplane::kSendfileFrames) > 0) {
-        table.AddRow({"sendfile frames",
-                      std::to_string(r.Bytes(dataplane::kSendfileFrames)) +
-                          " (" +
-                          HumanBytes(double(r.Bytes(dataplane::kSendfileBytes))) +
-                          ")"});
-      }
-    }
-    if (r.shuffle_ack_replays > 0 || r.shuffle_dup_frames > 0) {
-      table.AddRow({"ack replays (frames)",
-                    std::to_string(r.shuffle_ack_replays) + " (" +
-                        std::to_string(r.shuffle_ack_replayed_frames) + ")"});
-      table.AddRow(
-          {"dup frames absorbed", std::to_string(r.shuffle_dup_frames)});
-    }
-    // Over --transport=tcp the map group forks: the sender-side frame
-    // counters live in the child, so the reduce-side report keys on the
-    // decoder counters too.
-    if (r.Bytes(coded::kCodedFrames) > 0 ||
-        r.Bytes(coded::kCodedDecodedUnits) > 0) {
-      table.AddRow({"coded frames",
-                    std::to_string(r.Bytes(coded::kCodedFrames)) + " (" +
-                        HumanBytes(double(r.Bytes(coded::kCodedPayloadBytes))) +
-                        " payload)"});
-      table.AddRow({"coded units (wire/local)",
-                    std::to_string(r.Bytes(coded::kCodedDecodedUnits)) + "/" +
-                        std::to_string(r.Bytes(coded::kCodedLocalUnits))});
-      table.AddRow({"coded re-maps",
-                    std::to_string(r.Bytes(coded::kCodedRemapTasks))});
-      if (r.Bytes(coded::kCodedReconstructedSegments) > 0) {
-        table.AddRow(
-            {"coded reconstructions",
-             std::to_string(r.Bytes(coded::kCodedReconstructedSegments))});
-      }
-    }
-  }
+  // Counter rows come from the declared table (engine/job_metrics.h); a
+  // group other than core prints only when one of its counters is nonzero.
+  for (auto& row : JobMetricRows(r)) table.AddRow(std::move(row));
   std::printf("%s", table.ToString().c_str());
   std::printf("\nper-phase CPU seconds:\n");
   for (const auto& [phase, secs] : r.cpu_seconds) {
@@ -928,7 +832,7 @@ int CmdSort(const Config& cfg) {
     char buf[28];
     std::snprintf(buf, sizeof(buf), "%016llx-%08llx",
                   static_cast<unsigned long long>(rng.Next()),
-                  static_cast<unsigned long long>(i));
+                  static_cast<unsigned long long>(i & 0xffffffffu));
     writer->Append(Slice(buf, 25));
   }
   writer->Close();
@@ -1593,7 +1497,7 @@ int CmdWorker(const Config& cfg) {
     mopts.coordinator = join_list.front();
     mopts.endpoints = join_list;
     mopts.worker_id = id;
-    mopts.endpoint = "-";  // map workers serve nothing
+    mopts.endpoint = std::string("-");  // map workers serve nothing
     mopts.role = net::WireRole::kMap;
     mopts.secret = secret;
     coord::CoordClient member(&platform.metrics(), mopts);
