@@ -135,7 +135,7 @@ int main(int argc, char** argv) {
     mopts.endpoints = {nodes[0]->wire->endpoint(), nodes[1]->wire->endpoint(),
                        nodes[2]->wire->endpoint()};
     mopts.worker_id = "bench-w";
-    mopts.endpoint = "-";
+    mopts.endpoint = std::string("-");
     mopts.heartbeat_interval_ms = heartbeat_ms;
     MetricRegistry client_metrics;
     coord::CoordClient member(&client_metrics, mopts);

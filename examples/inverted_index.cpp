@@ -48,7 +48,7 @@ int main() {
 
   // Query the index: postings of a frequent and a rare word.
   const auto rows = platform.ReadOutput("index_sm", 4);
-  for (const std::string probe : {WordKey(2), WordKey(25'000)}) {
+  for (const std::string& probe : {WordKey(2), WordKey(25'000)}) {
     for (const auto& [word, postings] : rows) {
       if (word == probe) {
         const auto docs =

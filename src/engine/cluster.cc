@@ -688,12 +688,9 @@ JobResult ClusterExecutor::Run(const JobSpec& spec, const JobOptions& options) {
             HybridHashReducer reducer(r, spec, options, renv);
             return reducer.Run();
           }
-          case HashReduce::kIncremental: {
-            IncrementalHashReducer reducer(r, spec, options, renv);
-            return reducer.Run();
-          }
+          case HashReduce::kIncremental:
           case HashReduce::kHotKeyIncremental: {
-            HotKeyIncrementalReducer reducer(r, spec, options, renv);
+            IncrementalHashReducer reducer(r, spec, options, renv);
             return reducer.Run();
           }
         }

@@ -6,6 +6,7 @@
 #include "dataplane/block_cache.h"
 #include "dataplane/event_loop.h"
 #include "engine/cluster.h"
+#include "engine/incremental_store.h"
 #include "engine/shuffle_remote.h"
 #include "fault/fault.h"
 #include "net/transport.h"
@@ -37,6 +38,7 @@ constexpr JobMetric kTable[] = {
     {device::kMapOutputWrite, "map output bytes", kBytes, kCore},
     {device::kShuffleRead, "shuffle bytes", kBytes, kCore},
     {device::kSpillWrite, "reduce spill", kBytes, kCore},
+    {kStoreDemotions, "hot-key demotions", kCount, kCore},
     {device::kDfsWrite, "dfs written", kBytes, kCore},
 
     {kRetryMapTask, "map task retries", kCount, kRecovery},

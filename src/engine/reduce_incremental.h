@@ -1,35 +1,39 @@
-// Incremental hash reducers (§V reduce techniques 2 and 3) — the paper's
+// Incremental hash reducer (§V reduce techniques 2 and 3) — the paper's
 // primary contribution.
 //
-// IncrementalHashReducer keeps one aggregator state per key and folds each
-// arriving value in immediately; answers can be produced the moment the
-// data needed for them has been seen (the early_emit policy), and final
-// answers require only a finalize scan — no blocking merge.  When memory is
-// short, the whole table is flushed to a run and the runs are re-aggregated
-// at the end (states are mergeable by construction).
+// The reducer folds each arriving value into its key's aggregator state
+// immediately; answers can be produced the moment the data needed for them
+// has been seen (the early_emit policy), and final answers require only a
+// finalize scan — no blocking merge.  The per-key state, spilling, hot-key
+// demotion, checkpoint images and the final resolve all live in
+// IncrementalStore (engine/incremental_store.h), which the streaming
+// worker shares.
 //
-// HotKeyIncrementalReducer adds the frequent-items optimization: a
-// Space-Saving sketch identifies hot keys online, exactly those keys keep
-// their states pinned in memory, and evicted (cold) states are appended to
-// a cold run.  Because state size is sublinear in the number of values
-// aggregated, pinning hot keys instead of random keys minimizes spilled
-// bytes (§V: "maintaining hot keys instead of random keys in memory results
-// in less I/Os"), and hot keys' (approximate) answers are available as soon
-// as all input has arrived — before any cold-file pass.
+// kIncremental runs the store in plain mode: when memory is short, the
+// whole table is flushed to a run and the runs are re-aggregated at the end
+// (states are mergeable by construction).  kHotKeyIncremental gives the
+// store a Space-Saving sketch of hot_key_capacity keys: exactly the hot
+// keys keep their states pinned in memory, and evicted (cold) states are
+// appended to a cold run.  Because state size is sublinear in the number of
+// values aggregated, pinning hot keys instead of random keys minimizes
+// spilled bytes (§V: "maintaining hot keys instead of random keys in memory
+// results in less I/Os"), and hot keys' (approximate) answers are written
+// to `<output>.early.part<r>` as soon as all input has arrived — before any
+// cold-file pass.
+//
+// This class keeps the batch-only parts: shuffle rewind and acknowledgement
+// around checkpoints, speculative-backup preemption, early answers into the
+// part file, and key-sorted emission under checkpoints.
 #pragma once
 
 #include <cstdint>
-#include <filesystem>
 #include <map>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "checkpoint/checkpoint.h"
+#include "engine/incremental_store.h"
 #include "engine/job.h"
 #include "engine/reduce_common.h"
-#include "engine/state_table.h"
-#include "frequent/space_saving.h"
 
 namespace opmr {
 
@@ -40,21 +44,14 @@ class IncrementalHashReducer {
 
   std::uint64_t Run();
 
-  [[nodiscard]] int table_spills() const noexcept { return table_spills_; }
-  [[nodiscard]] std::uint64_t early_emits() const noexcept {
-    return early_emits_;
-  }
-
  private:
-  void SpillTable();
-
   // Checkpoint plumbing (ckpt_ is null when checkpointing is off).
   // Prepare() resets stale images on a first attempt, or restores the
   // latest checkpoint and rewinds the shuffle feed on a retry; returns the
   // restored watermark (0 = start from scratch).
   std::uint64_t PrepareCheckpoint();
-  void RestoreFromImage(const CheckpointImage& image);
   void WriteCheckpoint(std::uint64_t watermark);
+  void CheckPreempted() const;
 
   int reducer_id_;
   const JobSpec& spec_;
@@ -62,50 +59,11 @@ class IncrementalHashReducer {
   RuntimeEnv env_;
   bool values_are_states_;
 
-  StateTable table_;
-  std::vector<std::filesystem::path> spill_runs_;
-  int table_spills_ = 0;
-  std::uint64_t early_emits_ = 0;
+  IncrementalStore store_;
   std::uint64_t folded_ = 0;  // fold ordinal for the OnReduceFold fault site
 
   std::unique_ptr<CheckpointManager> ckpt_;
   std::map<std::uint32_t, std::uint64_t> feed_records_;  // map task -> records
-};
-
-class HotKeyIncrementalReducer {
- public:
-  HotKeyIncrementalReducer(int reducer_id, const JobSpec& spec,
-                           const JobOptions& options, const RuntimeEnv& env);
-
-  std::uint64_t Run();
-
-  [[nodiscard]] std::uint64_t cold_records() const noexcept {
-    return cold_records_;
-  }
-  [[nodiscard]] std::uint64_t hot_folds() const noexcept { return hot_folds_; }
-
- private:
-  // Demotes `key`'s state (if resident) to the cold run.
-  void DemoteToCold(Slice key);
-
-  // Enforces the byte budget by demoting the lowest-estimate resident keys.
-  void EnforceBudget();
-
-  void EnsureColdWriter();
-
-  int reducer_id_;
-  const JobSpec& spec_;
-  const JobOptions& options_;
-  RuntimeEnv env_;
-  bool values_are_states_;
-
-  SpaceSaving sketch_;
-  StateTable resident_;
-  std::unique_ptr<RecordSink> cold_;
-  std::filesystem::path cold_path_;
-  std::uint64_t cold_records_ = 0;
-  std::uint64_t hot_folds_ = 0;
-  std::uint64_t early_emits_ = 0;
 };
 
 }  // namespace opmr

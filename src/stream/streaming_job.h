@@ -5,10 +5,10 @@
 // A StreamingJob is a long-lived MapReduce query with no pre-loaded input:
 // records are Ingest()ed as they arrive, the map function runs inline on
 // the ingesting thread, and the emitted pairs are routed to R parallel
-// reducer workers that maintain incremental per-key aggregator states
-// (plain or hot-key, with disk spilling under memory pressure — the same
-// §V techniques as the batch runtime).  At any moment the live states can
-// be queried:
+// reducer workers.  Each worker folds its pairs into an IncrementalStore
+// (engine/incremental_store.h) — the per-key state store the batch
+// incremental reducer uses, plain or hot-key, spilling or demoting under
+// memory pressure.  At any moment the live states can be queried:
 //
 //   StreamingJob job(query, options, /*reducers=*/4);
 //   job.Ingest(record);               // any thread, any time
@@ -35,8 +35,6 @@
 #include "checkpoint/options.h"
 #include "engine/aggregators.h"
 #include "engine/job.h"
-#include "engine/state_table.h"
-#include "frequent/space_saving.h"
 #include "metrics/counters.h"
 #include "storage/file_manager.h"
 
@@ -143,8 +141,8 @@ class StreamingJob {
   // exactly.
   std::uint64_t Recover();
 
-  // Job-scoped counter value ("checkpoint.written", "stream.demotions",
-  // "recovery.replay_records", ...); 0 for unknown names.
+  // Job-scoped counter value (kCheckpointsWritten, kStoreDemotions,
+  // kReplayRecords, ...); 0 for unknown names.
   [[nodiscard]] std::int64_t CounterValue(const std::string& name) const;
 
  private:

@@ -73,7 +73,7 @@ std::vector<ScoredEntry> RunTopKPipeline(Platform& platform,
 // --- Repartition join ---------------------------------------------------------
 
 std::string CountryKey(std::uint32_t country) {
-  char buf[16];
+  char buf[24];
   std::snprintf(buf, sizeof(buf), "country%02u", country);
   return buf;
 }

@@ -34,14 +34,9 @@ template <typename Agg>
 std::uint64_t FoldU64(const std::vector<std::uint64_t>& values) {
   Agg agg;
   std::string state;
-  bool first = true;
-  for (auto v : values) {
-    if (first) {
-      agg.Init(EncodeValueU64(v), &state);
-      first = false;
-    } else {
-      agg.Update(&state, EncodeValueU64(v));
-    }
+  agg.Init(EncodeValueU64(values.front()), &state);
+  for (std::size_t i = 1; i < values.size(); ++i) {
+    agg.Update(&state, EncodeValueU64(values[i]));
   }
   std::string out;
   agg.Finalize(state, &out);

@@ -153,7 +153,7 @@ TEST_F(CompressedRunTest, CompressedFileIsSmallerForRedundantData) {
     RunWriter plain(files_.NewFile("plain"), plain_ch);
     CompressedRunWriter comp(files_.NewFile("comp"), comp_ch);
     for (int i = 0; i < 50'000; ++i) {
-      const std::string key = "u" + std::to_string(i % 100);
+      const std::string key = std::string("u").append(std::to_string(i % 100));
       plain.Append(key, "1");
       comp.Append(key, "1");
     }

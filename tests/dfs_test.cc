@@ -112,7 +112,7 @@ TEST_F(DfsTest, DuplicateCreateThrows) {
 TEST_F(DfsTest, UnknownFileThrows) {
   auto dfs = MakeDfs();
   EXPECT_THROW(dfs.ListBlocks("nope"), std::runtime_error);
-  EXPECT_THROW(dfs.FileBytes("nope"), std::runtime_error);
+  EXPECT_THROW((void)dfs.FileBytes("nope"), std::runtime_error);
   EXPECT_FALSE(dfs.Exists("nope"));
 }
 

@@ -215,6 +215,42 @@ TEST(EngineIntegration, IncrementalRuntimeEmitsEarlyUnderThresholdQuery) {
   EXPECT_LT(result.first_output_seconds, result.wall_seconds);
 }
 
+TEST(EngineIntegration, EarlyAnswerIsNotRepeatedAfterSpillOrDemotion) {
+  // A threshold query under a reduce budget small enough to spill (plain)
+  // or demote (hot-key) states: a key's early row is written once, and its
+  // final row once more — never a second early row after the key's state
+  // left memory and came back.
+  Platform platform({.num_nodes = 2, .block_bytes = 128u << 10});
+  ClickStreamOptions gen;
+  gen.num_records = 60'000;
+  gen.url_theta = 1.2;
+  GenerateClickStream(platform.dfs(), "clicks", gen);
+
+  for (const auto& [name, base] :
+       {std::pair{"incremental", HashOnePassOptions()},
+        std::pair{"hotkey", HotKeyOnePassOptions(64)}}) {
+    SCOPED_TRACE(name);
+    JobOptions options = base;
+    options.map_side_combine = false;
+    options.reduce_buffer_bytes = 16u << 10;
+    options.early_emit = [](Slice /*key*/, Slice state) {
+      return DecodeU64(state.data()) >= 50;
+    };
+    const std::string out = std::string("early_") + name;
+    const auto result =
+        platform.Run(PageFrequencyJob("clicks", out, 2), options);
+    EXPECT_GT(result.Bytes(device::kSpillWrite), 0);
+    std::map<std::string, int> rows;
+    for (const auto& [key, value] : platform.ReadOutput(out, 2)) ++rows[key];
+    int early_keys = 0;
+    for (const auto& [key, n] : rows) {
+      EXPECT_LE(n, 2) << key;
+      early_keys += n == 2 ? 1 : 0;
+    }
+    EXPECT_GT(early_keys, 0);
+  }
+}
+
 TEST(EngineIntegration, MapReduceOnlineProducesSnapshots) {
   Platform platform({.num_nodes = 2, .block_bytes = 64u << 10});
   GenerateClickStream(platform.dfs(), "clicks", SmallClicks());

@@ -92,7 +92,7 @@ TEST(Hll, ValidatesPrecisionAndStateWidth) {
   HllAggregator hll(8);
   std::string tiny = "short";
   EXPECT_THROW(hll.Update(&tiny, "v"), std::runtime_error);
-  EXPECT_THROW(hll.Estimate(Slice(tiny)), std::runtime_error);
+  EXPECT_THROW((void)hll.Estimate(Slice(tiny)), std::runtime_error);
 }
 
 TEST(Hll, DistinctVisitorsJobTracksTruth) {

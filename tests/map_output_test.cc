@@ -119,8 +119,8 @@ TEST_F(MapCombineTableTest, EntriesByPartitionIsGrouped) {
   Rng rng(2);
   for (int i = 0; i < 500; ++i) {
     table.Fold(static_cast<std::uint32_t>(rng.Uniform(7)),
-               "k" + std::to_string(rng.Uniform(100)), EncodeValueU64(1),
-               false);
+               std::string("k").append(std::to_string(rng.Uniform(100))),
+               EncodeValueU64(1), false);
   }
   const auto entries = table.EntriesByPartition();
   for (std::size_t i = 1; i < entries.size(); ++i) {
@@ -149,7 +149,8 @@ TEST_F(MapCombineTableTest, MatchesReferenceUnderRandomFolds) {
   std::map<std::pair<std::uint32_t, std::string>, std::uint64_t> expected;
   for (int i = 0; i < 20'000; ++i) {
     const auto p = static_cast<std::uint32_t>(rng.Uniform(4));
-    const std::string k = "u" + std::to_string(rng.Uniform(300));
+    const std::string k =
+        std::string("u").append(std::to_string(rng.Uniform(300)));
     const std::uint64_t w = 1 + rng.Uniform(9);
     expected[{p, k}] += w;
     table.Fold(p, k, EncodeValueU64(w), false);

@@ -149,7 +149,8 @@ TEST_F(MapSinksTest, PushSinkDivertsUnderBackpressure) {
   // Queue bound is 2 chunks; the rest must divert to disk but still arrive.
   PushSink sink(0, &files_, &metrics_, service_.get(), 3, /*chunk=*/16);
   for (int i = 0; i < 20; ++i) {
-    sink.AppendStreaming(0, "k" + std::to_string(i), "0123456789");
+    sink.AppendStreaming(0, std::string("k").append(std::to_string(i)),
+                         "0123456789");
   }
   sink.Close();
   service_->MapTaskDone(0);

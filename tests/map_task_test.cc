@@ -181,7 +181,8 @@ TEST_F(MapTaskTest, TinyBufferSpillsMultipleSortedBatches) {
   options.map_buffer_bytes = 512;  // force many spills
   std::vector<std::string> records;
   for (int i = 0; i < 2'000; ++i) {
-    records.push_back("k" + std::to_string(i % 97) + "\tpayload");
+    records.push_back(
+        std::string("k").append(std::to_string(i % 97)).append("\tpayload"));
   }
   const auto out = RunTask(EchoSpec(2), options, records);
   std::size_t total = 0;
@@ -202,7 +203,7 @@ TEST_F(MapTaskTest, OneRecordManyEmits) {
   JobSpec spec = EchoSpec(2);
   spec.map = [](Slice record, OutputCollector& out) {
     for (int i = 0; i < 50; ++i) {
-      out.Emit("k" + std::to_string(i), record);
+      out.Emit(std::string("k").append(std::to_string(i)), record);
     }
   };
   const auto out = RunTask(spec, JobOptions{}, {"only"});

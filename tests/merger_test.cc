@@ -56,8 +56,10 @@ TEST_F(MergerTest, MatchesReferenceSortOnRandomRuns) {
     std::vector<std::pair<std::string, std::string>> records;
     const int n = 1 + static_cast<int>(rng.Uniform(300));
     for (int i = 0; i < n; ++i) {
-      std::string key = "k" + std::to_string(rng.Uniform(1000));
-      std::string value = "v" + std::to_string(rng.Next() % 100);
+      std::string key =
+          std::string("k").append(std::to_string(rng.Uniform(1000)));
+      std::string value =
+          std::string("v").append(std::to_string(rng.Next() % 100));
       records.emplace_back(key, value);
       all.emplace_back(key, value);
     }

@@ -58,7 +58,7 @@ TEST(Counters, ResetAllZeroes) {
 TEST(Stopwatch, WallTimerAdvances) {
   WallTimer t;
   volatile double sink = 0;
-  for (int i = 0; i < 100'000; ++i) sink += i;
+  for (int i = 0; i < 100'000; ++i) sink = sink + i;
   EXPECT_GT(t.Nanos(), 0);
 }
 
@@ -91,7 +91,7 @@ TEST(PhaseProfiler, PhaseScopeChargesOnExit) {
   {
     PhaseScope scope(&profiler, "work");
     volatile std::uint64_t x = 1;
-    for (int i = 0; i < 1'000'000; ++i) x += i;
+    for (int i = 0; i < 1'000'000; ++i) x = x + i;
   }
   EXPECT_GT(profiler.CpuSeconds("work"), 0.0);
 }

@@ -463,7 +463,9 @@ TEST_F(PlacementSchedulerTest, WorkerDeathMidWaveKeepsOutputByteIdentical) {
   const auto log = scheduler.placement_plane()->Log();
   ASSERT_FALSE(log.empty());
   for (const Assignment& a : log) {
-    if (a.replacement) EXPECT_NE(a.node, 1);
+    if (a.replacement) {
+      EXPECT_NE(a.node, 1);
+    }
   }
 }
 

@@ -28,7 +28,7 @@ TEST(SecondarySort, ValuesArriveInFullKeyOrder) {
 
   JobSpec spec;
   spec.name = "ss_order";
-  spec.input_file = "in";
+  spec.input_file = std::string("in");
   spec.output_file = "out";
   spec.num_reducers = 3;
   spec.grouping_prefix = 4;  // "gNNN"

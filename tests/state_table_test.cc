@@ -69,7 +69,8 @@ TEST_F(StateTableTest, ForEachVisitsEverything) {
   Rng rng(1);
   std::map<std::string, std::uint64_t> expected;
   for (int i = 0; i < 5000; ++i) {
-    const std::string k = "u" + std::to_string(rng.Uniform(200));
+    const std::string k =
+        std::string("u").append(std::to_string(rng.Uniform(200)));
     expected[k] += 1;
     table.Fold(k, EncodeValueU64(1), false);
   }

@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "core/opmr.h"
 #include "engine/aggregators.h"
+#include "engine/incremental_store.h"
 #include "engine/hll.h"
 #include "workloads/clickstream.h"
 #include "workloads/tasks.h"
@@ -37,7 +38,8 @@ TEST(Streaming, ExactCountsAtFinish) {
   Rng rng(1);
   std::map<std::string, std::uint64_t> truth;
   for (int i = 0; i < 50'000; ++i) {
-    const std::string key = "k" + std::to_string(rng.Uniform(400));
+    const std::string key =
+        std::string("k").append(std::to_string(rng.Uniform(400)));
     ++truth[key];
     job.Ingest(key + "\tpayload");
   }
@@ -128,7 +130,8 @@ TEST(Streaming, HotKeyModeSpillsAndStaysExact) {
   ZipfSampler zipf(3'000, 1.1, 3);
   std::map<std::string, std::uint64_t> truth;
   for (int i = 0; i < 40'000; ++i) {
-    const std::string key = "z" + std::to_string(zipf.Sample());
+    const std::string key =
+        std::string("z").append(std::to_string(zipf.Sample()));
     ++truth[key];
     job.Ingest(key + "\t.");
   }
@@ -183,7 +186,7 @@ TEST(Streaming, ValidatesQueryAndWorkerCount) {
 TEST(Streaming, FinishTwiceReturnsTheSameSortedResults) {
   StreamingJob job(CountByFirstField(), {}, 2);
   for (int i = 0; i < 5'000; ++i) {
-    job.Ingest("k" + std::to_string(i % 97) + "\tx");
+    job.Ingest(std::string("k").append(std::to_string(i % 97)).append("\tx"));
   }
   const auto first = job.Finish();
   ASSERT_EQ(first.size(), 97u);
@@ -201,7 +204,8 @@ TEST(Streaming, QueryAfterFinishServesFinalResults) {
   Rng rng(5);
   std::map<std::string, std::uint64_t> truth;
   for (int i = 0; i < 30'000; ++i) {
-    const std::string key = "u" + std::to_string(rng.Uniform(4'000));
+    const std::string key =
+        std::string("u").append(std::to_string(rng.Uniform(4'000)));
     ++truth[key];
     job.Ingest(key + "\tx");
   }
@@ -226,10 +230,11 @@ TEST(Streaming, HotKeyDemotionsAreDeterministicUnderSeededIngest) {
     StreamingJob job(CountByFirstField(), options, 2);
     ZipfSampler zipf(3'000, 1.1, 7);
     for (int i = 0; i < 30'000; ++i) {
-      job.Ingest("z" + std::to_string(zipf.Sample()) + "\t.");
+      job.Ingest(
+          std::string("z").append(std::to_string(zipf.Sample())).append("\t."));
     }
     *results = job.Finish();
-    return job.CounterValue("stream.demotions");
+    return job.CounterValue(kStoreDemotions);
   };
   std::vector<std::pair<std::string, std::string>> a, b;
   const auto demotions_a = run(&a);
@@ -241,32 +246,93 @@ TEST(Streaming, HotKeyDemotionsAreDeterministicUnderSeededIngest) {
 
 TEST(Streaming, AgreesWithBatchRuntimeOnClickStream) {
   // Same data, same query: batch one-pass runtime vs streaming ingestion.
+  // Both run the same incremental store, so they must agree exactly in
+  // plain and hot-key mode, and after spills and demotions too.
   Platform platform({.num_nodes = 2, .block_bytes = 256u << 10});
   ClickStreamOptions gen;
   gen.num_records = 30'000;
   gen.num_users = 2'000;
   GenerateClickStream(platform.dfs(), "clicks", gen);
-  platform.Run(PerUserCountJob("clicks", "batch_out", 2),
-               HashOnePassOptions());
-  std::map<std::string, std::uint64_t> batch;
-  for (const auto& [k, v] : platform.ReadOutput("batch_out", 2)) {
-    batch[k] = DecodeValueU64(v);
-  }
 
-  const auto batch_spec = PerUserCountJob("ignored", "ignored", 1);
-  StreamingQuery query;
-  query.name = "per_user_stream";
-  query.map = batch_spec.map;
-  query.aggregator = batch_spec.aggregator;
-  StreamingJob job(std::move(query), {}, 3);
-  for (const auto& block : platform.dfs().ListBlocks("clicks")) {
-    auto reader = platform.dfs().OpenBlock(block);
-    Slice record;
-    while (reader->Next(&record)) job.Ingest(record);
+  struct Case {
+    const char* name;
+    std::size_t hot_key_capacity;  // 0 = plain incremental states
+    std::size_t budget_bytes;      // 0 = the runtime defaults
+  };
+  const Case cases[] = {
+      {"plain", 0, 0},
+      {"plain_spilling", 0, 16u << 10},
+      {"hotkey", 64, 0},
+      {"hotkey_demoting", 64, 16u << 10},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string out = std::string("batch_") + c.name;
+    JobOptions options = c.hot_key_capacity > 0
+                             ? HotKeyOnePassOptions(c.hot_key_capacity)
+                             : HashOnePassOptions();
+    if (c.budget_bytes > 0) options.reduce_buffer_bytes = c.budget_bytes;
+    const auto result =
+        platform.Run(PerUserCountJob("clicks", out, 2), options);
+    std::map<std::string, std::uint64_t> batch;
+    for (const auto& [k, v] : platform.ReadOutput(out, 2)) {
+      batch[k] = DecodeValueU64(v);
+    }
+
+    const auto batch_spec = PerUserCountJob("ignored", "ignored", 1);
+    StreamingQuery query;
+    query.name = "per_user_stream";
+    query.map = batch_spec.map;
+    query.aggregator = batch_spec.aggregator;
+    StreamingOptions stream_options;
+    stream_options.hot_key_capacity = c.hot_key_capacity;
+    if (c.budget_bytes > 0) stream_options.worker_budget_bytes = c.budget_bytes;
+    StreamingJob job(std::move(query), stream_options, 3);
+    for (const auto& block : platform.dfs().ListBlocks("clicks")) {
+      auto reader = platform.dfs().OpenBlock(block);
+      Slice record;
+      while (reader->Next(&record)) job.Ingest(record);
+    }
+    std::map<std::string, std::uint64_t> streamed;
+    for (const auto& [k, v] : job.Finish()) streamed[k] = DecodeValueU64(v);
+    EXPECT_EQ(streamed, batch);
+
+    // The small budget really moves states out of memory in both clients.
+    const bool pressured = c.budget_bytes > 0;
+    EXPECT_EQ(result.Bytes(device::kSpillWrite) > 0, pressured);
+    EXPECT_EQ(job.CounterValue(device::kSpillWrite) > 0, pressured);
+    if (c.hot_key_capacity > 0) {
+      EXPECT_EQ(result.Bytes(kStoreDemotions) > 0, pressured);
+      EXPECT_EQ(job.CounterValue(kStoreDemotions) > 0, pressured);
+    }
   }
-  std::map<std::string, std::uint64_t> streamed;
-  for (const auto& [k, v] : job.Finish()) streamed[k] = DecodeValueU64(v);
-  EXPECT_EQ(streamed, batch);
+}
+
+TEST(Streaming, EarlyAnswerFiresOnceAfterItsKeyIsSpilled) {
+  // A key's early answer fires, its state is spilled to disk, and the key
+  // arrives again: the answer must not fire a second time.
+  StreamingOptions options;
+  options.worker_budget_bytes = 4u << 10;
+  std::atomic<int> fired_a{0};
+  options.early_emit = [](Slice, Slice state) {
+    return DecodeU64(state.data()) >= 1;
+  };
+  options.on_early_answer = [&](Slice key, Slice) {
+    if (key.view() == "a") fired_a.fetch_add(1);
+  };
+  StreamingJob job(CountByFirstField(), options, 1);
+  job.Ingest("a\tx");
+  for (int i = 0; i < 400; ++i) {
+    job.Ingest(std::string("k").append(std::to_string(i)).append("\tx"));
+  }
+  job.Ingest("a\tx");
+  const auto results = job.Finish();
+  EXPECT_GT(job.CounterValue(device::kSpillWrite), 0);
+  EXPECT_EQ(fired_a.load(), 1);
+  EXPECT_EQ(job.early_answers(), 401u);
+  ASSERT_FALSE(results.empty());
+  EXPECT_EQ(results.front().first, "a");
+  EXPECT_EQ(DecodeValueU64(results.front().second), 2u);
 }
 
 TEST(Streaming, HllAggregatorStreamsDistinctCounts) {
