@@ -1,9 +1,6 @@
 #include "dataplane/event_loop.h"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/sendfile.h>
@@ -13,7 +10,6 @@
 
 #include <cassert>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <utility>
 
@@ -25,87 +21,15 @@ namespace opmr::dataplane {
 
 namespace {
 
+using net::Endpoint;
 using net::Frame;
 using net::FrameType;
+using net::NowNanos;
 using net::TransportError;
-
-std::int64_t NowNanos() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-void SleepMs(double ms) {
-  if (ms <= 0.0) return;
-  std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
-}
-
-void SetNoDelay(int fd) {
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
-void SetSockBuf(int fd, int bytes) {
-  if (bytes <= 0) return;
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &bytes, sizeof(bytes));
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &bytes, sizeof(bytes));
-}
 
 void SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-// Blocking write used only off-loop: the reconnect handshake runs on the
-// sender's thread against a still-blocking socket, exactly like tcp.
-bool WriteAllBlocking(int fd, const std::string& data, Counter* syscalls) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n =
-        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (syscalls != nullptr) syscalls->Increment();
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-struct Endpoint {
-  std::string host;
-  int port = 0;
-};
-
-Endpoint ParseEndpoint(const std::string& text) {
-  const auto colon = text.rfind(':');
-  if (colon == std::string::npos || colon + 1 == text.size()) {
-    throw TransportError("dataplane: malformed endpoint '" + text + "'");
-  }
-  Endpoint ep;
-  ep.host = text.substr(0, colon);
-  ep.port = std::stoi(text.substr(colon + 1));
-  return ep;
-}
-
-int DialOnce(const Endpoint& ep, int sock_buf_bytes) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(ep.port));
-  if (::inet_pton(AF_INET, ep.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    throw TransportError("dataplane: bad address '" + ep.host + "'");
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  SetNoDelay(fd);
-  SetSockBuf(fd, sock_buf_bytes);
-  return fd;
 }
 
 // epoll user-data tags for the two non-connection descriptors.
@@ -114,6 +38,13 @@ int kListenTag;
 
 constexpr int kMaxIov = 8;          // gather width per writev
 constexpr std::size_t kMaxSendfileChunk = 1u << 20;
+
+// A partially-filled client block is sealed after this long without
+// reaching the writer's size/count trigger (latency bound on coalescing).
+constexpr int kFlushIntervalMs = 2;
+// Client Send() blocks while this many bytes are queued to one connection
+// (the event-loop analog of blocking-socket back-pressure).
+constexpr std::size_t kMaxOutboundBytes = 64u << 20;
 
 }  // namespace
 
@@ -140,7 +71,7 @@ class ElConn final : public net::Connection {
         role_(role),
         handler_(std::move(handler)),
         endpoint_(std::move(endpoint)),
-        writer_(WriterOptions(owner->options_)) {}
+        writer_(EncodingWriter::Options{.compress = owner->compress_blocks_}) {}
 
   ~ElConn() override {
     std::scoped_lock ql(q_mu_);
@@ -158,30 +89,18 @@ class ElConn final : public net::Connection {
     }
     std::scoped_lock order(send_mu_);
     if (user_closed_) throw TransportError("dataplane: connection closed");
-    const std::uint64_t seq = ++send_seq_;
-    for (int attempt = 1;; ++attempt) {
-      if (ConsultHookOrDrop(seq, attempt)) {
-        owner_->retransmits_->Increment();
-        ReconnectLocked();
-        continue;
-      }
-      {
-        std::unique_lock ql(q_mu_);
-        if (!broken_ && fd_ >= 0) {
+    owner_->SendWithRetry(
+        ++send_seq_,
+        [&] {
+          std::unique_lock ql(q_mu_);
+          if (broken_ || fd_ < 0) return false;
           EnqueueFrameLocked(frame);
-          owner_->frames_sent_->Increment();
+          owner_->net_.frames_sent->Increment();
           owner_->WakeLoop();
           WaitBelowCapLocked(ql);
-          if (!broken_) return;
-        }
-      }
-      if (attempt >= owner_->options_.send_attempts) {
-        throw TransportError("dataplane: send failed after " +
-                             std::to_string(attempt) + " attempts");
-      }
-      owner_->retransmits_->Increment();
-      ReconnectLocked();
-    }
+          return !broken_;
+        },
+        [this] { ReconnectLocked(); });
   }
 
   bool SendFileFrame(FrameType type, const std::string& payload_prefix,
@@ -195,6 +114,12 @@ class ElConn final : public net::Connection {
     // kernel-side via sendfile(2), and nothing is buffered per frame.
     const int base_fd = ::open(path.c_str(), O_RDONLY);
     if (base_fd < 0) return false;
+    // Each transmission queues its own dup of base_fd, so base_fd itself
+    // is released on every way out.
+    struct CloseOnExit {
+      int fd;
+      ~CloseOnExit() { ::close(fd); }
+    } base_guard{base_fd};
     std::uint32_t crc = 0;
     {
       const char covered[4] = {static_cast<char>(type), 0, 0, 0};
@@ -209,7 +134,6 @@ class ElConn final : public net::Connection {
         const ssize_t n = ::pread(base_fd, buf, want, pos);
         if (n <= 0) {
           if (n < 0 && errno == EINTR) continue;
-          ::close(base_fd);
           return false;  // vanished or truncated: caller falls back
         }
         acc = Crc32cUpdate(acc, buf, static_cast<std::size_t>(n));
@@ -231,24 +155,17 @@ class ElConn final : public net::Connection {
     head.append(payload_prefix);
 
     std::scoped_lock order(send_mu_);
-    if (user_closed_) {
-      ::close(base_fd);
-      throw TransportError("dataplane: connection closed");
-    }
-    const std::uint64_t seq = ++send_seq_;
-    for (int attempt = 1;; ++attempt) {
-      if (ConsultHookOrDrop(seq, attempt)) {
-        owner_->retransmits_->Increment();
-        ReconnectLocked();
-        continue;
-      }
-      {
-        std::unique_lock ql(q_mu_);
-        if (!broken_ && fd_ >= 0) {
+    if (user_closed_) throw TransportError("dataplane: connection closed");
+    bool out_of_fds = false;
+    owner_->SendWithRetry(
+        ++send_seq_,
+        [&] {
+          std::unique_lock ql(q_mu_);
+          if (broken_ || fd_ < 0) return false;
           const int dup_fd = ::fcntl(base_fd, F_DUPFD_CLOEXEC, 0);
           if (dup_fd < 0) {
-            ::close(base_fd);
-            return false;
+            out_of_fds = true;
+            return true;  // stop: the caller falls back to an in-memory frame
           }
           FlushPendingLocked();  // keep frame order across the block seam
           Outbound entry;
@@ -258,25 +175,15 @@ class ElConn final : public net::Connection {
           entry.file_len = length;
           outbound_bytes_ += entry.bytes.size() + entry.file_len;
           outbound_.push_back(std::move(entry));
-          owner_->frames_sent_->Increment();
+          owner_->net_.frames_sent->Increment();
           owner_->sendfile_frames_->Increment();
           owner_->sendfile_bytes_->Add(static_cast<std::int64_t>(length));
           owner_->WakeLoop();
           WaitBelowCapLocked(ql);
-          if (!broken_) {
-            ::close(base_fd);
-            return true;
-          }
-        }
-      }
-      if (attempt >= owner_->options_.send_attempts) {
-        ::close(base_fd);
-        throw TransportError("dataplane: send failed after " +
-                             std::to_string(attempt) + " attempts");
-      }
-      owner_->retransmits_->Increment();
-      ReconnectLocked();
-    }
+          return !broken_;
+        },
+        [this] { ReconnectLocked(); });
+    return !out_of_fds;
   }
 
   void Close() override {
@@ -301,25 +208,6 @@ class ElConn final : public net::Connection {
  private:
   friend class EventLoopTransport;
 
-  static EncodingWriter::Options WriterOptions(
-      const EventLoopTransport::Options& o) {
-    EncodingWriter::Options w;
-    w.compress = o.compress_blocks;
-    w.target_block_bytes = o.target_block_bytes;
-    w.max_block_frames = o.max_block_frames;
-    return w;
-  }
-
-  // Consults the fault hook (client role); true means drop-and-retransmit.
-  bool ConsultHookOrDrop(std::uint64_t seq, int attempt) {
-    net::NetFaultHook* hook = net::GetNetFaultHook();
-    if (hook == nullptr) return false;
-    const std::int64_t t0 = NowNanos();
-    const bool drop = hook->OnFrameSend(seq, attempt);
-    owner_->stall_nanos_->Add(NowNanos() - t0);
-    return drop;
-  }
-
   void SendServer(const Frame& frame) {
     std::string bytes = net::EncodeFrame(frame);
     {
@@ -331,7 +219,7 @@ class ElConn final : public net::Connection {
       Outbound entry;
       entry.bytes = std::move(bytes);
       outbound_.push_back(std::move(entry));
-      owner_->frames_sent_->Increment();
+      owner_->net_.frames_sent->Increment();
     }
     owner_->WakeLoop();
   }
@@ -355,7 +243,7 @@ class ElConn final : public net::Connection {
   // Requires q_mu_ (client role).  Appends a frame to the pending block or
   // the outbound queue, preserving order across the block seam.
   void EnqueueFrameLocked(const Frame& frame) {
-    if (owner_->options_.block_encoding && IsBlockableType(frame.type)) {
+    if (IsBlockableType(frame.type)) {
       writer_.Add(frame);
       if (writer_.ShouldFlush()) FlushPendingLocked();
       return;  // else: the loop's flush timer seals it
@@ -386,7 +274,7 @@ class ElConn final : public net::Connection {
   // drain us out of this wait.
   void WaitBelowCapLocked(std::unique_lock<std::mutex>& ql) {
     cv_.wait(ql, [this] {
-      return broken_ || outbound_bytes_ <= owner_->options_.max_outbound_bytes;
+      return broken_ || outbound_bytes_ <= kMaxOutboundBytes;
     });
   }
 
@@ -427,48 +315,12 @@ class ElConn final : public net::Connection {
       broken_ = false;
       ClearOutboundLocked();  // the replay window re-covers everything queued
     }
-    int fd = -1;
-    for (int attempt = 1;; ++attempt) {
-      fd = DialOnce(endpoint_, owner_->options_.sock_buf_bytes);
-      if (fd >= 0) break;
-      if (attempt >= owner_->options_.connect_attempts) {
-        throw TransportError("dataplane: cannot connect to " + endpoint_.host +
-                             ":" + std::to_string(endpoint_.port));
-      }
-      SleepMs(owner_->options_.connect_backoff_ms * attempt);
-    }
-    owner_->reconnects_->Increment();
-    // Handshake on the still-blocking socket: Hello preamble, then the
-    // ack-window replay.  The server's applied-seq watermark absorbs any
-    // frame that also survived the dead connection.
-    Frame preamble;
-    bool has_preamble = false;
-    std::function<std::vector<Frame>()> replay;
-    {
-      std::scoped_lock lock(owner_->mu_);
-      has_preamble = owner_->has_preamble_;
-      preamble = owner_->preamble_;
-      replay = owner_->reconnect_replay_;
-    }
-    if (has_preamble) {
-      const std::string bytes = net::EncodeFrame(preamble);
-      if (!WriteAllBlocking(fd, bytes, owner_->send_syscalls_)) {
-        ::close(fd);
-        throw TransportError("dataplane: reconnect handshake failed");
-      }
-      owner_->frames_sent_->Increment();
-      owner_->bytes_sent_->Add(static_cast<std::int64_t>(bytes.size()));
-    }
-    if (replay) {
-      for (const Frame& frame : replay()) {
-        const std::string bytes = net::EncodeFrame(frame);
-        if (!WriteAllBlocking(fd, bytes, owner_->send_syscalls_)) {
-          ::close(fd);
-          throw TransportError("dataplane: reconnect replay failed");
-        }
-        owner_->frames_sent_->Increment();
-        owner_->bytes_sent_->Add(static_cast<std::int64_t>(bytes.size()));
-      }
+    const int fd = owner_->Dial(endpoint_);
+    try {
+      owner_->Handshake(fd);
+    } catch (const TransportError&) {
+      ::close(fd);
+      throw;
     }
     SetNonBlocking(fd);
     {
@@ -477,7 +329,7 @@ class ElConn final : public net::Connection {
       register_requested_ = true;
     }
     owner_->WakeLoop();
-    owner_->stall_nanos_->Add(NowNanos() - t0);
+    owner_->net_.stall_nanos->Add(NowNanos() - t0);
   }
 
   EventLoopTransport* owner_;
@@ -513,26 +365,14 @@ class ElConn final : public net::Connection {
 
 // --- EventLoopTransport ------------------------------------------------------
 
-EventLoopTransport::EventLoopTransport(MetricRegistry* metrics)
-    : EventLoopTransport(metrics, Options{}) {}
-
-EventLoopTransport::EventLoopTransport(MetricRegistry* metrics,
-                                       std::string endpoint)
-    : EventLoopTransport(metrics, std::move(endpoint), Options{}) {}
-
 EventLoopTransport::EventLoopTransport(MetricRegistry* metrics,
                                        Options options)
-    : metrics_(metrics),
-      options_(options),
-      frames_sent_(metrics->Get(net::kNetFramesSent)),
-      frames_received_(metrics->Get(net::kNetFramesReceived)),
-      bytes_sent_(metrics->Get(net::kNetBytesSent)),
-      bytes_received_(metrics->Get(net::kNetBytesReceived)),
-      retransmits_(metrics->Get(net::kNetRetransmits)),
-      reconnects_(metrics->Get(net::kNetReconnects)),
-      stall_nanos_(metrics->Get(net::kNetStallNanos)),
-      send_syscalls_(metrics->Get(net::kNetSendSyscalls)),
-      recv_syscalls_(metrics->Get(net::kNetRecvSyscalls)),
+    : EventLoopTransport(metrics, std::string(), std::move(options)) {}
+
+EventLoopTransport::EventLoopTransport(MetricRegistry* metrics,
+                                       std::string endpoint, Options options)
+    : SocketTransport(metrics, std::move(endpoint), options, "dataplane"),
+      compress_blocks_(options.compress_blocks),
       blocks_sent_(metrics->Get(kBlocksSent)),
       blocks_received_(metrics->Get(kBlocksReceived)),
       blocks_compressed_(metrics->Get(kBlocksCompressed)),
@@ -540,64 +380,13 @@ EventLoopTransport::EventLoopTransport(MetricRegistry* metrics,
       sendfile_frames_(metrics->Get(kSendfileFrames)),
       sendfile_bytes_(metrics->Get(kSendfileBytes)) {}
 
-EventLoopTransport::EventLoopTransport(MetricRegistry* metrics,
-                                       std::string endpoint, Options options)
-    : EventLoopTransport(metrics, options) {
-  remote_endpoint_ = std::move(endpoint);
-}
-
 EventLoopTransport::~EventLoopTransport() { Shutdown(); }
 
-void EventLoopTransport::Bind() {
-  std::scoped_lock lock(mu_);
-  if (!remote_endpoint_.empty()) {
-    throw TransportError("dataplane: Bind on a client-mode transport");
-  }
-  if (listen_fd_ >= 0) return;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) throw TransportError("dataplane: socket() failed");
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  if (options_.bind_address == "0.0.0.0") {
-    addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  } else if (::inet_pton(AF_INET, options_.bind_address.c_str(),
-                         &addr.sin_addr) != 1) {
-    ::close(fd);
-    throw TransportError("dataplane: bad bind address '" +
-                         options_.bind_address + "'");
-  }
-  addr.sin_port = htons(static_cast<std::uint16_t>(options_.bind_port));
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(fd, 16) != 0) {
-    ::close(fd);
-    throw TransportError("dataplane: bind/listen failed on " +
-                         options_.bind_address + ":" +
-                         std::to_string(options_.bind_port));
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    ::close(fd);
-    throw TransportError("dataplane: getsockname failed");
-  }
-  SetNonBlocking(fd);
-  listen_fd_ = fd;
-  port_ = ntohs(addr.sin_port);
-}
-
 void EventLoopTransport::Listen(net::FrameHandler handler) {
+  BindForListen(std::move(handler));
   {
     std::scoped_lock lock(mu_);
-    if (!remote_endpoint_.empty()) {
-      throw TransportError("dataplane: Listen on a client-mode transport");
-    }
-    if (handler_) throw TransportError("dataplane: Listen called twice");
-    handler_ = std::move(handler);
-  }
-  Bind();
-  {
-    std::scoped_lock lock(mu_);
+    SetNonBlocking(listen_fd_);  // the loop accepts until EAGAIN
     EnsureLoopStartedLocked();
   }
   WakeLoop();  // the loop registers the listen fd on this wakeup
@@ -605,27 +394,8 @@ void EventLoopTransport::Listen(net::FrameHandler handler) {
 
 std::shared_ptr<net::Connection> EventLoopTransport::Connect(
     net::FrameHandler on_reply) {
-  Endpoint ep;
-  {
-    std::scoped_lock lock(mu_);
-    if (!remote_endpoint_.empty()) {
-      ep = ParseEndpoint(remote_endpoint_);
-    } else if (listen_fd_ >= 0) {
-      ep = Endpoint{AdvertisedHostLocked(), port_};  // self-dial
-    } else {
-      throw TransportError("dataplane: Connect before Bind and without endpoint");
-    }
-  }
-  int fd = -1;
-  for (int attempt = 1;; ++attempt) {
-    fd = DialOnce(ep, options_.sock_buf_bytes);
-    if (fd >= 0) break;
-    if (attempt >= options_.connect_attempts) {
-      throw TransportError("dataplane: cannot connect to " + ep.host + ":" +
-                           std::to_string(ep.port));
-    }
-    SleepMs(options_.connect_backoff_ms * attempt);
-  }
+  const Endpoint ep = DialTarget();
+  const int fd = Dial(ep);
   SetNonBlocking(fd);
   auto conn = std::make_shared<ElConn>(this, ElConn::Role::kClient,
                                        std::move(on_reply), ep);
@@ -636,39 +406,13 @@ std::shared_ptr<net::Connection> EventLoopTransport::Connect(
   }
   {
     std::scoped_lock lock(mu_);
-    if (shutdown_) {
-      ::close(fd);
-      throw TransportError("dataplane: transport is shut down");
-    }
+    // Shutdown() raced the dial: refuse the connection (~ElConn closes fd).
+    if (shutdown_) Fail("transport is shut down");
     conns_.push_back(conn);
     EnsureLoopStartedLocked();
   }
   WakeLoop();
   return conn;
-}
-
-std::string EventLoopTransport::endpoint() const {
-  std::scoped_lock lock(mu_);
-  if (!remote_endpoint_.empty()) return remote_endpoint_;
-  return AdvertisedHostLocked() + ":" + std::to_string(port_);
-}
-
-std::string EventLoopTransport::AdvertisedHostLocked() const {
-  if (!options_.advertise_address.empty()) return options_.advertise_address;
-  if (options_.bind_address == "0.0.0.0") return "127.0.0.1";
-  return options_.bind_address;
-}
-
-void EventLoopTransport::SetConnectPreamble(Frame preamble) {
-  std::scoped_lock lock(mu_);
-  preamble_ = std::move(preamble);
-  has_preamble_ = true;
-}
-
-void EventLoopTransport::SetReconnectReplay(
-    std::function<std::vector<Frame>()> replay) {
-  std::scoped_lock lock(mu_);
-  reconnect_replay_ = std::move(replay);
 }
 
 void EventLoopTransport::Shutdown() {
@@ -766,8 +510,7 @@ void EventLoopTransport::AcceptReady() {
       if (errno == EINTR) continue;
       return;  // EAGAIN (or the listener died)
     }
-    SetNoDelay(fd);
-    SetSockBuf(fd, options_.sock_buf_bytes);
+    ConfigureSocket(fd);
     net::FrameHandler handler;
     bool dead = false;
     {
@@ -818,7 +561,7 @@ bool EventLoopTransport::DispatchDecoded(ElConn* conn) {
           std::scoped_lock ql(conn->q_mu_);
           if (conn->fd_ < 0) return true;
         }
-        frames_received_->Increment();
+        net_.frames_received->Increment();
         conn->handler_(conn, std::move(f));
       }
       if (conn->role_ == ElConn::Role::kServer) {
@@ -841,7 +584,7 @@ bool EventLoopTransport::DispatchDecoded(ElConn* conn) {
       }
       block_acks_->Increment();  // consumed by the transport, not forwarded
     } else {
-      frames_received_->Increment();
+      net_.frames_received->Increment();
       conn->handler_(conn, std::move(frame));
     }
   }
@@ -868,8 +611,8 @@ void EventLoopTransport::ReadReady(ElConn* conn) {
       HandleEof(conn);
       return;
     }
-    recv_syscalls_->Increment();
-    bytes_received_->Add(n);
+    net_.recv_syscalls->Increment();
+    net_.bytes_received->Add(n);
     conn->decoder_.Feed(buf, static_cast<std::size_t>(n));
     if (!DispatchDecoded(conn)) {
       // Framing invariant broken: drop the connection (a client will
@@ -932,8 +675,8 @@ bool EventLoopTransport::TryWriteLocked(ElConn* conn) {
         return false;
       }
       if (w == 0) return false;  // file truncated under us
-      send_syscalls_->Increment();
-      bytes_sent_->Add(w);
+      net_.send_syscalls->Increment();
+      net_.bytes_sent->Add(w);
       front.file_len -= static_cast<std::uint64_t>(w);
       conn->outbound_bytes_ -= static_cast<std::size_t>(w);
       if (front.file_len == 0) {
@@ -961,8 +704,8 @@ bool EventLoopTransport::TryWriteLocked(ElConn* conn) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
       return false;
     }
-    send_syscalls_->Increment();
-    bytes_sent_->Add(w);
+    net_.send_syscalls->Increment();
+    net_.bytes_sent->Add(w);
     std::size_t left = static_cast<std::size_t>(w);
     conn->outbound_bytes_ -= left;
     while (left > 0) {
@@ -1062,9 +805,7 @@ void EventLoopTransport::LoopMain() {
     for (const auto& conn : snapshot) {
       std::scoped_lock ql(conn->q_mu_);
       if (!conn->writer_.empty()) {
-        timeout_ms = options_.flush_interval_ms < 1.0
-                         ? 1
-                         : static_cast<int>(options_.flush_interval_ms);
+        timeout_ms = kFlushIntervalMs;
         break;
       }
     }

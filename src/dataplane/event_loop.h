@@ -11,25 +11,25 @@
 // Client connections additionally batch data frames into protocol-v7
 // kBlock frames through an EncodingWriter (block-granular adaptive
 // compression, see dataplane/encoding_writer.h): blockable frames
-// accumulate until the block fills, a non-blockable control frame forces a
-// flush, or the loop's flush timer (flush_interval_ms) seals a stale
-// block.  The server side unpacks blocks back into the exact frame stream
-// the shuffle layer expects and answers each with a kBlockAck
-// (observability only).
+// accumulate until the block reaches the writer's default size or frame
+// count, a non-blockable control frame forces a flush, or the loop's 2 ms
+// flush timer seals a stale block.  The server side unpacks blocks back
+// into the exact frame stream the shuffle layer expects and answers each
+// with a kBlockAck (observability only).
 //
-// Semantics mirror TcpTransport so the ShuffleClient/ShuffleServer pair —
-// exactly-once sequencing, ack-window replay, NetFaultHook injection —
-// works unchanged:
+// Everything but the I/O model comes from the shared socket layer
+// (net/socket.h), the same one TcpTransport uses, so the
+// ShuffleClient/ShuffleServer pair — exactly-once sequencing, ack-window
+// replay, NetFaultHook injection — works unchanged:
 //
 //   * Construction modes: server/full (Bind() before fork() is safe: the
 //     loop thread starts lazily on Listen/Connect, never in Bind) and
 //     client (endpoint string).
-//   * The client consults the process-global NetFaultHook before each
-//     send; a dropped or failed send tears the connection down, redials,
-//     replays the Hello preamble plus the reconnect-replay window, and
-//     retransmits.  Frames batched but not yet flushed when a connection
-//     dies are simply abandoned — they are all inside the unacked window,
-//     so the replay re-delivers them.
+//   * A dropped or failed client send tears the connection down, redials,
+//     replays the Hello preamble plus the reconnect-replay window on the
+//     still-blocking socket, and retransmits.  Frames batched but not yet
+//     flushed when a connection dies are simply abandoned — they are all
+//     inside the unacked window, so the replay re-delivers them.
 //   * Close() flushes queued output, half-closes (FIN), and drains inbound
 //     until the peer closes, exactly like the TCP client teardown.
 //
@@ -54,7 +54,7 @@
 #include "dataplane/encoding_writer.h"
 #include "metrics/counters.h"
 #include "net/frame.h"
-#include "net/transport.h"
+#include "net/socket.h"
 
 namespace opmr::dataplane {
 
@@ -68,50 +68,23 @@ inline constexpr const char* kSendfileBytes = "dataplane.sendfile_bytes";
 
 class ElConn;
 
-class EventLoopTransport final : public net::Transport {
+// The shared dial/bind settings plus the block codec switch.
+struct EventLoopOptions : net::SocketOptions {
+  bool compress_blocks = false;  // adaptive OZ codec per block
+};
+
+class EventLoopTransport final : public net::SocketTransport {
  public:
-  struct Options {
-    // Dial/retry knobs, same meaning as TcpTransport::Options.
-    int connect_attempts = 20;
-    double connect_backoff_ms = 25;
-    int send_attempts = 4;
-    std::string bind_address = "127.0.0.1";
-    int bind_port = 0;  // 0 = ephemeral
-    std::string advertise_address;
-    // SO_SNDBUF / SO_RCVBUF for every data socket; 0 = kernel default.
-    // TCP_NODELAY is always set (the block layer does the batching).
-    int sock_buf_bytes = 0;
+  using Options = EventLoopOptions;
 
-    // --- Block encoding (client connections) ---------------------------------
-    bool block_encoding = true;     // batch data frames into kBlock frames
-    bool compress_blocks = false;   // adaptive OZ codec per block
-    std::size_t target_block_bytes = 256u << 10;
-    std::uint32_t max_block_frames = 64;
-    // A partially-filled block is sealed after this long without reaching
-    // the size/count trigger (latency bound on coalescing).
-    double flush_interval_ms = 2.0;
-    // Client Send() blocks while this many bytes are queued to one
-    // connection (the event-loop analog of blocking-socket back-pressure).
-    std::size_t max_outbound_bytes = 64u << 20;
-  };
-
-  explicit EventLoopTransport(MetricRegistry* metrics);
-  EventLoopTransport(MetricRegistry* metrics, Options options);
-  EventLoopTransport(MetricRegistry* metrics, std::string endpoint);
+  explicit EventLoopTransport(MetricRegistry* metrics, Options options = {});
   EventLoopTransport(MetricRegistry* metrics, std::string endpoint,
-                     Options options);
+                     Options options = {});
   ~EventLoopTransport() override;
-
-  // Server mode: bind + listen without starting any thread (fork-safe).
-  void Bind();
 
   void Listen(net::FrameHandler handler) override;
   std::shared_ptr<net::Connection> Connect(net::FrameHandler on_reply) override;
-  [[nodiscard]] std::string endpoint() const override;
   void Shutdown() override;
-  void SetConnectPreamble(net::Frame preamble) override;
-  void SetReconnectReplay(std::function<std::vector<net::Frame>()> replay)
-      override;
 
  private:
   friend class ElConn;
@@ -132,36 +105,14 @@ class EventLoopTransport final : public net::Transport {
   bool TryWriteLocked(ElConn* conn);
   [[nodiscard]] bool OnLoopThread() const;
   void DeregisterFd(int fd, bool registered);
-  [[nodiscard]] std::string AdvertisedHostLocked() const;
 
-  MetricRegistry* metrics_;
-  Options options_;
-
-  Counter* frames_sent_ = nullptr;
-  Counter* frames_received_ = nullptr;
-  Counter* bytes_sent_ = nullptr;
-  Counter* bytes_received_ = nullptr;
-  Counter* retransmits_ = nullptr;
-  Counter* reconnects_ = nullptr;
-  Counter* stall_nanos_ = nullptr;
-  Counter* send_syscalls_ = nullptr;
-  Counter* recv_syscalls_ = nullptr;
+  const bool compress_blocks_;
   Counter* blocks_sent_ = nullptr;
   Counter* blocks_received_ = nullptr;
   Counter* blocks_compressed_ = nullptr;
   Counter* block_acks_ = nullptr;
   Counter* sendfile_frames_ = nullptr;
   Counter* sendfile_bytes_ = nullptr;
-
-  mutable std::mutex mu_;
-  std::string remote_endpoint_;  // client mode; empty in server mode
-  int listen_fd_ = -1;
-  int port_ = 0;
-  bool shutdown_ = false;
-  net::FrameHandler handler_;        // server dispatch target
-  net::Frame preamble_;
-  bool has_preamble_ = false;
-  std::function<std::vector<net::Frame>()> reconnect_replay_;
 
   // Loop machinery.  epoll_fd_/wake_fd_ are created when the loop starts
   // and owned by it; conns_ pins every connection for the loop's lifetime.

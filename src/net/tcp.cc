@@ -1,14 +1,9 @@
 #include "net/tcp.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
-#include <cstring>
 #include <utility>
 
 #include "net/frame.h"
@@ -17,79 +12,35 @@ namespace opmr::net {
 
 namespace {
 
-std::int64_t NowNanos() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-void SleepMs(double ms) {
-  if (ms <= 0.0) return;
-  std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
-}
-
-void SetNoDelay(int fd) {
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
-void SetSockBuf(int fd, int bytes) {
-  if (bytes <= 0) return;
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &bytes, sizeof(bytes));
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &bytes, sizeof(bytes));
-}
-
-// Writes the whole buffer; returns false on any socket error.  Each
-// successful send(2) is charged to `syscalls` (when non-null) — the
-// per-frame kernel-crossing count the ablation bench reports.
-bool WriteAll(int fd, const std::string& data, Counter* syscalls = nullptr) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n =
-        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
+// The reader loop both ends of a connection run on their own thread:
+// blocking read(2) into a FrameDecoder, then `handler` per frame.  Returns
+// on EOF or a socket error (the peer is gone, or we are shutting down), on
+// a corrupt stream (the framing invariant is gone: drop the connection,
+// the client reconnects and retransmits), and as soon as `released()` says
+// a handler closed the socket from this thread — never draining past it.
+template <typename Released>
+void ReadFrames(int fd, const WireCounters& net, Connection* conn,
+                const FrameHandler& handler, Released released) {
+  FrameDecoder decoder;
+  char buf[1 << 16];
+  while (!released()) {
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n <= 0) {
+      if (n < 0 && errno == EINTR) continue;
+      return;
     }
-    if (syscalls != nullptr) syscalls->Increment();
-    off += static_cast<std::size_t>(n);
+    net.recv_syscalls->Increment();
+    net.bytes_received->Add(n);
+    decoder.Feed(buf, static_cast<std::size_t>(n));
+    Frame frame;
+    DecodeStatus status;
+    while ((status = decoder.Next(&frame)) == DecodeStatus::kOk) {
+      net.frames_received->Increment();
+      handler(conn, std::move(frame));
+      if (released()) return;
+    }
+    if (status != DecodeStatus::kNeedMore) return;
   }
-  return true;
-}
-
-struct Endpoint {
-  std::string host;
-  int port = 0;
-};
-
-Endpoint ParseEndpoint(const std::string& text) {
-  const auto colon = text.rfind(':');
-  if (colon == std::string::npos || colon + 1 == text.size()) {
-    throw TransportError("tcp: malformed endpoint '" + text + "'");
-  }
-  Endpoint ep;
-  ep.host = text.substr(0, colon);
-  ep.port = std::stoi(text.substr(colon + 1));
-  return ep;
-}
-
-int DialOnce(const Endpoint& ep, int sock_buf_bytes) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(ep.port));
-  if (::inet_pton(AF_INET, ep.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    throw TransportError("tcp: bad address '" + ep.host + "'");
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  SetNoDelay(fd);
-  SetSockBuf(fd, sock_buf_bytes);
-  return fd;
 }
 
 }  // namespace
@@ -106,32 +57,8 @@ class TcpServerConnection final : public Connection {
         std::scoped_lock lock(write_mu_);
         reader_tid_ = std::this_thread::get_id();
       }
-      FrameDecoder decoder;
-      char buf[1 << 16];
-      for (;;) {
-        if (SocketClosed()) break;  // a handler closed us from this thread
-        const ssize_t n = ::read(fd_, buf, sizeof(buf));
-        if (n <= 0) {
-          if (n < 0 && errno == EINTR) continue;
-          break;  // EOF or error: peer is gone (or we are shutting down)
-        }
-        owner_->recv_syscalls_->Increment();
-        owner_->bytes_received_->Add(n);
-        decoder.Feed(buf, static_cast<std::size_t>(n));
-        Frame frame;
-        DecodeStatus status;
-        while ((status = decoder.Next(&frame)) == DecodeStatus::kOk) {
-          owner_->frames_received_->Increment();
-          handler(this, std::move(frame));
-          if (SocketClosed()) break;  // don't drain past our own close
-        }
-        if (SocketClosed()) break;
-        if (status != DecodeStatus::kNeedMore) {
-          // Corrupt stream: the framing invariant is gone, drop the
-          // connection (the client will reconnect and retransmit).
-          break;
-        }
-      }
+      ReadFrames(fd_, owner_->net_, this, handler,
+                 [this] { return SocketClosed(); });
       CloseFd();
     });
   }
@@ -139,12 +66,10 @@ class TcpServerConnection final : public Connection {
   void Send(const Frame& frame) override {
     const std::string bytes = EncodeFrame(frame);
     std::scoped_lock lock(write_mu_);
-    if (closed_ || !WriteAll(fd_, bytes, owner_->send_syscalls_)) {
+    if (closed_ || !owner_->WriteFrame(fd_, bytes)) {
       closed_ = true;
       throw TransportError("tcp: peer connection lost");
     }
-    owner_->frames_sent_->Increment();
-    owner_->bytes_sent_->Add(static_cast<std::int64_t>(bytes.size()));
   }
 
   // External close only shutdown()s the socket: that wakes the reader out
@@ -218,7 +143,7 @@ class TcpClientConnection final : public Connection {
         endpoint_(std::move(endpoint)),
         on_reply_(std::move(on_reply)) {
     std::scoped_lock lock(send_mu_);
-    DialLocked();
+    fd_ = owner_->Dial(endpoint_);
     StartReaderLocked();
   }
 
@@ -226,32 +151,9 @@ class TcpClientConnection final : public Connection {
     const std::string bytes = EncodeFrame(frame);
     std::scoped_lock lock(send_mu_);
     if (closing_) throw TransportError("tcp: connection closed");
-    const std::uint64_t seq = ++send_seq_;
-    for (int attempt = 1;; ++attempt) {
-      if (NetFaultHook* hook = GetNetFaultHook()) {
-        const std::int64_t t0 = NowNanos();
-        const bool drop = hook->OnFrameSend(seq, attempt);
-        owner_->stall_nanos_->Add(NowNanos() - t0);
-        if (drop) {
-          // Injected connection drop: tear down BEFORE any byte of this
-          // frame hits the wire, then retransmit on a fresh connection.
-          owner_->retransmits_->Increment();
-          ReconnectLocked();
-          continue;
-        }
-      }
-      if (WriteAll(fd_, bytes, owner_->send_syscalls_)) {
-        owner_->frames_sent_->Increment();
-        owner_->bytes_sent_->Add(static_cast<std::int64_t>(bytes.size()));
-        return;
-      }
-      if (attempt >= owner_->options_.send_attempts) {
-        throw TransportError("tcp: send failed after " +
-                             std::to_string(attempt) + " attempts");
-      }
-      owner_->retransmits_->Increment();
-      ReconnectLocked();
-    }
+    owner_->SendWithRetry(
+        ++send_seq_, [&] { return owner_->WriteFrame(fd_, bytes); },
+        [this] { ReconnectLocked(); });
   }
 
   void Close() override {
@@ -276,39 +178,9 @@ class TcpClientConnection final : public Connection {
 
  private:
   // All Locked methods require send_mu_.
-  void DialLocked() {
-    for (int attempt = 1;; ++attempt) {
-      fd_ = DialOnce(endpoint_, owner_->options_.sock_buf_bytes);
-      if (fd_ >= 0) return;
-      if (attempt >= owner_->options_.connect_attempts) {
-        throw TransportError("tcp: cannot connect to " + endpoint_.host + ":" +
-                             std::to_string(endpoint_.port));
-      }
-      SleepMs(owner_->options_.connect_backoff_ms * attempt);
-    }
-  }
-
   void StartReaderLocked() {
     reader_ = std::thread([this, fd = fd_] {
-      FrameDecoder decoder;
-      char buf[1 << 16];
-      for (;;) {
-        const ssize_t n = ::read(fd, buf, sizeof(buf));
-        if (n <= 0) {
-          if (n < 0 && errno == EINTR) continue;
-          return;  // EOF: server closed, or this generation was torn down
-        }
-        owner_->recv_syscalls_->Increment();
-        owner_->bytes_received_->Add(n);
-        decoder.Feed(buf, static_cast<std::size_t>(n));
-        Frame frame;
-        DecodeStatus status;
-        while ((status = decoder.Next(&frame)) == DecodeStatus::kOk) {
-          owner_->frames_received_->Increment();
-          on_reply_(this, std::move(frame));
-        }
-        if (status != DecodeStatus::kNeedMore) return;
-      }
+      ReadFrames(fd, owner_->net_, this, on_reply_, [] { return false; });
     });
   }
 
@@ -321,43 +193,13 @@ class TcpClientConnection final : public Connection {
     ::shutdown(fd_, SHUT_WR);
     if (reader_.joinable()) reader_.join();
     ::close(fd_);
-    DialLocked();
+    fd_ = -1;  // a failed redial must not leave Close() a stale descriptor
+    fd_ = owner_->Dial(endpoint_);
+    // The reader runs before the handshake so the server's replies to the
+    // replayed frames never back up behind our writes.
     StartReaderLocked();
-    owner_->reconnects_->Increment();
-    // Re-introduce ourselves: the server treats each connection as a fresh
-    // stream, so the Hello preamble must lead it.
-    Frame preamble;
-    bool has_preamble = false;
-    std::function<std::vector<Frame>()> replay;
-    {
-      std::scoped_lock lock(owner_->mu_);
-      has_preamble = owner_->has_preamble_;
-      preamble = owner_->preamble_;
-      replay = owner_->reconnect_replay_;
-    }
-    if (has_preamble) {
-      const std::string bytes = EncodeFrame(preamble);
-      if (!WriteAll(fd_, bytes, owner_->send_syscalls_)) {
-        throw TransportError("tcp: reconnect handshake failed");
-      }
-      owner_->frames_sent_->Increment();
-      owner_->bytes_sent_->Add(static_cast<std::int64_t>(bytes.size()));
-    }
-    if (replay) {
-      // Ack-window replay: everything delivered on the dead connection but
-      // not yet acknowledged goes out again, ahead of the frame whose send
-      // triggered this reconnect.  The receiver's applied-seq watermark
-      // absorbs any copies that did survive.
-      for (const Frame& frame : replay()) {
-        const std::string bytes = EncodeFrame(frame);
-        if (!WriteAll(fd_, bytes, owner_->send_syscalls_)) {
-          throw TransportError("tcp: reconnect replay failed");
-        }
-        owner_->frames_sent_->Increment();
-        owner_->bytes_sent_->Add(static_cast<std::int64_t>(bytes.size()));
-      }
-    }
-    owner_->stall_nanos_->Add(NowNanos() - t0);
+    owner_->Handshake(fd_);
+    owner_->net_.stall_nanos->Add(NowNanos() - t0);
   }
 
   TcpTransport* owner_;
@@ -372,82 +214,18 @@ class TcpClientConnection final : public Connection {
 
 // --- TcpTransport ------------------------------------------------------------
 
-TcpTransport::TcpTransport(MetricRegistry* metrics)
-    : TcpTransport(metrics, Options{}) {}
-
-TcpTransport::TcpTransport(MetricRegistry* metrics, std::string endpoint)
-    : TcpTransport(metrics, std::move(endpoint), Options{}) {}
-
 TcpTransport::TcpTransport(MetricRegistry* metrics, Options options)
-    : metrics_(metrics),
-      options_(options),
-      frames_sent_(metrics->Get(kNetFramesSent)),
-      frames_received_(metrics->Get(kNetFramesReceived)),
-      bytes_sent_(metrics->Get(kNetBytesSent)),
-      bytes_received_(metrics->Get(kNetBytesReceived)),
-      retransmits_(metrics->Get(kNetRetransmits)),
-      reconnects_(metrics->Get(kNetReconnects)),
-      stall_nanos_(metrics->Get(kNetStallNanos)),
-      send_syscalls_(metrics->Get(kNetSendSyscalls)),
-      recv_syscalls_(metrics->Get(kNetRecvSyscalls)) {}
+    : TcpTransport(metrics, std::string(), std::move(options)) {}
 
 TcpTransport::TcpTransport(MetricRegistry* metrics, std::string endpoint,
                            Options options)
-    : TcpTransport(metrics, options) {
-  remote_endpoint_ = std::move(endpoint);
-}
+    : SocketTransport(metrics, std::move(endpoint), std::move(options),
+                      "tcp") {}
 
 TcpTransport::~TcpTransport() { Shutdown(); }
 
-void TcpTransport::Bind() {
-  std::scoped_lock lock(mu_);
-  if (!remote_endpoint_.empty()) {
-    throw TransportError("tcp: Bind on a client-mode transport");
-  }
-  if (listen_fd_ >= 0) return;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) throw TransportError("tcp: socket() failed");
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  if (options_.bind_address == "0.0.0.0") {
-    addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  } else if (::inet_pton(AF_INET, options_.bind_address.c_str(),
-                         &addr.sin_addr) != 1) {
-    ::close(fd);
-    throw TransportError("tcp: bad bind address '" + options_.bind_address +
-                         "'");
-  }
-  addr.sin_port = htons(static_cast<std::uint16_t>(options_.bind_port));
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(fd, 16) != 0) {
-    ::close(fd);
-    throw TransportError("tcp: bind/listen failed on " +
-                         options_.bind_address + ":" +
-                         std::to_string(options_.bind_port));
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    ::close(fd);
-    throw TransportError("tcp: getsockname failed");
-  }
-  listen_fd_ = fd;
-  port_ = ntohs(addr.sin_port);
-}
-
 void TcpTransport::Listen(FrameHandler handler) {
-  {
-    std::scoped_lock lock(mu_);
-    if (!remote_endpoint_.empty()) {
-      throw TransportError("tcp: Listen on a client-mode transport");
-    }
-    if (accept_thread_.joinable()) {
-      throw TransportError("tcp: Listen called twice");
-    }
-    handler_ = std::move(handler);
-  }
-  Bind();
+  BindForListen(std::move(handler));
   // The accept loop gets its own copy of the fd: Shutdown() nulls the member
   // under mu_, which this thread must never read unlocked.  Shutdown() still
   // owns closing it, after shutdown(2) has woken accept() and join returned.
@@ -462,19 +240,12 @@ void TcpTransport::Listen(FrameHandler handler) {
         if (errno == EINTR) continue;
         return;  // listener shut down
       }
-      SetNoDelay(fd);
-      {
-        std::scoped_lock lock(mu_);
-        SetSockBuf(fd, options_.sock_buf_bytes);
-      }
+      ConfigureSocket(fd);
       auto conn = std::make_shared<TcpServerConnection>(this, fd);
       FrameHandler handler;
       {
         std::scoped_lock lock(mu_);
-        if (shutdown_) {
-          ::close(fd);
-          return;
-        }
+        if (shutdown_) return;  // conn's destructor closes fd
         server_connections_.push_back(conn);
         handler = handler_;
       }
@@ -484,48 +255,14 @@ void TcpTransport::Listen(FrameHandler handler) {
 }
 
 std::shared_ptr<Connection> TcpTransport::Connect(FrameHandler on_reply) {
-  Endpoint ep;
-  {
-    std::scoped_lock lock(mu_);
-    if (!remote_endpoint_.empty()) {
-      ep = ParseEndpoint(remote_endpoint_);
-    } else if (listen_fd_ >= 0) {
-      ep = Endpoint{AdvertisedHostLocked(), port_};  // self-dial
-    } else {
-      throw TransportError("tcp: Connect before Bind and without endpoint");
-    }
-  }
-  auto conn =
-      std::make_shared<TcpClientConnection>(this, ep, std::move(on_reply));
+  auto conn = std::make_shared<TcpClientConnection>(this, DialTarget(),
+                                                    std::move(on_reply));
   std::scoped_lock lock(mu_);
+  // Shutdown() raced the dial: it will never close this connection, so
+  // refuse it (its destructor closes the socket).
+  if (shutdown_) Fail("transport is shut down");
   client_connections_.push_back(conn);
   return conn;
-}
-
-std::string TcpTransport::endpoint() const {
-  std::scoped_lock lock(mu_);
-  if (!remote_endpoint_.empty()) return remote_endpoint_;
-  return AdvertisedHostLocked() + ":" + std::to_string(port_);
-}
-
-std::string TcpTransport::AdvertisedHostLocked() const {
-  if (!options_.advertise_address.empty()) return options_.advertise_address;
-  // A wildcard bind is not dialable; fall back to loopback, which matches
-  // the historical single-host behavior.
-  if (options_.bind_address == "0.0.0.0") return "127.0.0.1";
-  return options_.bind_address;
-}
-
-void TcpTransport::SetConnectPreamble(Frame preamble) {
-  std::scoped_lock lock(mu_);
-  preamble_ = std::move(preamble);
-  has_preamble_ = true;
-}
-
-void TcpTransport::SetReconnectReplay(
-    std::function<std::vector<Frame>()> replay) {
-  std::scoped_lock lock(mu_);
-  reconnect_replay_ = std::move(replay);
 }
 
 void TcpTransport::Shutdown() {

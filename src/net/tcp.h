@@ -11,104 +11,47 @@
 //   * Client: TcpTransport(metrics, "127.0.0.1:port").  Connect() dials
 //     the remote endpoint; Listen()/Bind() are invalid.
 //
-// The client connection consults the process-global NetFaultHook before
-// each send: a dropped send tears the connection down BEFORE any byte of
-// the frame reaches the wire, reconnects (resending the Hello preamble set
-// via SetConnectPreamble), and retransmits — so injected connection drops
-// exercise the retry path without ever duplicating delivered data.  Real
-// send errors (peer reset) retry the same way, up to a bounded number of
-// attempts.
+// Endpoints, dialing, the bind, wire counters and the client reconnect
+// path (fault-hook drops, Hello preamble, ack-window replay) come from the
+// shared socket layer (net/socket.h).  What is left here is the I/O model:
+// one blocking reader thread per connection and one write(2) loop per frame
+// on the sender's thread.  Real send errors (peer reset) retry like an
+// injected drop, up to send_attempts transmissions.
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "metrics/counters.h"
-#include "net/transport.h"
+#include "net/socket.h"
 
 namespace opmr::net {
 
 class TcpServerConnection;
 class TcpClientConnection;
 
-class TcpTransport final : public Transport {
+class TcpTransport final : public SocketTransport {
  public:
-  struct Options {
-    int connect_attempts = 20;       // dial retries (server may lag behind)
-    double connect_backoff_ms = 25;  // linear backoff between dial attempts
-    int send_attempts = 4;           // transmissions per frame before giving up
-    // Server-mode addressing.  Defaults preserve the historical localhost
-    // behavior; cluster mode binds "0.0.0.0" and advertises a reachable
-    // address.  advertise_address feeds endpoint() (and the single-process
-    // self-dial); empty means the bind address, or loopback when bound any.
-    std::string bind_address = "127.0.0.1";
-    int bind_port = 0;  // 0 = ephemeral
-    std::string advertise_address;
-    // SO_SNDBUF / SO_RCVBUF for every data socket (dialed and accepted);
-    // 0 keeps the kernel default.  TCP_NODELAY is always set — the shuffle
-    // writes whole frames and latency-batches above the socket, so Nagle
-    // only adds delay.
-    int sock_buf_bytes = 0;
-  };
+  using Options = SocketOptions;
 
-  explicit TcpTransport(MetricRegistry* metrics);
-  TcpTransport(MetricRegistry* metrics, Options options);
-  TcpTransport(MetricRegistry* metrics, std::string endpoint);
-  TcpTransport(MetricRegistry* metrics, std::string endpoint, Options options);
+  explicit TcpTransport(MetricRegistry* metrics, Options options = {});
+  TcpTransport(MetricRegistry* metrics, std::string endpoint,
+               Options options = {});
   ~TcpTransport() override;
-
-  // Server mode: bind 127.0.0.1 on an ephemeral port and start the listen
-  // backlog.  Safe to call before fork(); idempotent.
-  void Bind();
 
   void Listen(FrameHandler handler) override;
   std::shared_ptr<Connection> Connect(FrameHandler on_reply) override;
-  [[nodiscard]] std::string endpoint() const override;
   void Shutdown() override;
-
-  // Frame resent first on every client reconnect (the Hello re-introduction).
-  void SetConnectPreamble(Frame preamble) override;
-
-  // Frames resent after the preamble on every client reconnect (the
-  // shuffle client's delivered-but-unacked window).
-  void SetReconnectReplay(std::function<std::vector<Frame>()> replay) override;
 
  private:
   friend class TcpServerConnection;
   friend class TcpClientConnection;
 
-  // Requires mu_.  The host part of endpoint(): advertise_address when
-  // set, else the bind address (loopback when bound to the wildcard).
-  [[nodiscard]] std::string AdvertisedHostLocked() const;
-
-  MetricRegistry* metrics_;
-  Options options_;
-
-  Counter* frames_sent_ = nullptr;
-  Counter* frames_received_ = nullptr;
-  Counter* bytes_sent_ = nullptr;
-  Counter* bytes_received_ = nullptr;
-  Counter* retransmits_ = nullptr;
-  Counter* reconnects_ = nullptr;
-  Counter* stall_nanos_ = nullptr;
-  Counter* send_syscalls_ = nullptr;
-  Counter* recv_syscalls_ = nullptr;
-
-  mutable std::mutex mu_;
-  std::string remote_endpoint_;  // client mode; empty in server mode
-  int listen_fd_ = -1;
-  int port_ = 0;
-  bool shutdown_ = false;
-  FrameHandler handler_;
   std::thread accept_thread_;
+  // Guarded by mu_.
   std::vector<std::shared_ptr<TcpServerConnection>> server_connections_;
   std::vector<std::shared_ptr<TcpClientConnection>> client_connections_;
-  Frame preamble_;
-  bool has_preamble_ = false;
-  std::function<std::vector<Frame>()> reconnect_replay_;
 };
 
 }  // namespace opmr::net

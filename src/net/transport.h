@@ -1,20 +1,28 @@
 // Transport: how shuffle frames move between a map worker group and the
 // reduce group.
 //
-// Two implementations (paper Fig. 5's "data movement" substrate):
+// Three implementations (paper Fig. 5's "data movement" substrate):
 //
-//   * LoopbackTransport — in-process, synchronous delivery.  The default;
-//     preserves the single-process engine behavior (and cost model) the
-//     rest of the repo was measured with.
-//   * TcpTransport — localhost sockets, thread-per-connection.  Used by
-//     the CLI's --transport=tcp mode, which runs the map and reduce worker
-//     groups as separate OS processes.
+//   * LoopbackTransport (net/loopback.h) — in-process, synchronous
+//     delivery.  The default; preserves the single-process engine behavior
+//     (and cost model) the rest of the repo was measured with.
+//   * TcpTransport (net/tcp.h) — sockets, a blocking reader thread per
+//     connection.  Used by the CLI's --transport=tcp mode, the cluster
+//     coordinator and workers, the replica group, the serving plane, and
+//     the scheduler's tcp jobs.
+//   * dataplane::EventLoopTransport (dataplane/event_loop.h) — sockets,
+//     one epoll loop per transport with batched writev/sendfile and block
+//     encoding.  Used by the CLI's --transport=epoll mode.
+//
+// The two socket transports share one socket layer (net/socket.h):
+// options, endpoint parsing, dial/bind, wire counters, and the client
+// reconnect path.  They differ only in their I/O model.
 //
 // A Transport is either listening (the reduce side calls Listen and
 // receives frames from every accepted connection) or dialing (the map side
 // calls Connect and gets a Connection to Send on; reply frames arrive on
 // the connect-time handler).  Connections are bidirectional and ordered;
-// delivery is at-most-once per send attempt, with the TCP client
+// delivery is at-most-once per send attempt, with a socket client
 // retransmitting over a fresh connection when a send is dropped (injected
 // conn_drop faults tear the connection down *before* any byte of the frame
 // reaches the wire, so a retransmit can never duplicate delivered data).
@@ -101,10 +109,11 @@ class Transport {
 
 // --- Fault-injection seam ----------------------------------------------------
 
-// Consulted by TcpTransport's client before each frame send.  `frame_seq`
-// is the 1-based per-connection send ordinal, `attempt` the 1-based
-// transmission attempt of that frame.  Returning true drops the send: the
-// connection is torn down and the frame retransmitted on a fresh one.
+// Consulted by a socket transport's client before each frame send.
+// `frame_seq` is the 1-based per-connection send ordinal, `attempt` the
+// 1-based transmission attempt of that frame.  Returning true drops the
+// send: the connection is torn down and the frame retransmitted on a fresh
+// one.
 // Implementations may sleep (injected network stalls).  The loopback
 // transport never consults the hook — there is no wire to fail.
 class NetFaultHook {
@@ -149,8 +158,9 @@ void SetNetFaultHook(NetFaultHook* hook);
 [[nodiscard]] NetFaultHook* GetNetFaultHook() noexcept;
 
 // --- Wire metric names -------------------------------------------------------
-// Charged into the owning MetricRegistry by both transports; surfaced as
-// the wire group of the job report and CSVs (engine/job_metrics.h).
+// Charged into the owning MetricRegistry by every transport (the socket
+// transports through net/socket.h's WireCounters); surfaced as the wire
+// group of the job report and CSVs (engine/job_metrics.h).
 
 inline constexpr const char* kNetBytesSent = "net.bytes_sent";
 inline constexpr const char* kNetBytesReceived = "net.bytes_received";

@@ -1,7 +1,9 @@
 // Transport tests: the loopback and TCP implementations must deliver the
 // same frames the same way — request in, reply out, counters charged —
 // and the TCP client must survive an injected connection drop with an
-// exactly-once retransmit over a fresh connection.
+// exactly-once retransmit over a fresh connection.  The contract suite at
+// the end runs both socket transports (tcp, epoll) through the socket
+// layer they share and expects the same answers from each.
 #include "net/transport.h"
 
 #include <gtest/gtest.h>
@@ -16,8 +18,10 @@
 #include <thread>
 #include <vector>
 
+#include "dataplane/event_loop.h"
 #include "metrics/counters.h"
 #include "net/loopback.h"
+#include "net/socket.h"
 #include "net/tcp.h"
 #include "net/wire.h"
 
@@ -271,6 +275,120 @@ TEST(NetTransport, LoopbackNeverConsultsFaultHook) {
   EXPECT_EQ(metrics.Value(kNetRetransmits), 0);
   transport.Shutdown();
 }
+
+// --- Socket transport contract (tcp and epoll) -------------------------------
+
+enum class SocketKind { kTcp, kEpoll };
+
+const char* KindName(SocketKind kind) {
+  return kind == SocketKind::kTcp ? "tcp" : "epoll";
+}
+
+// Names the parameter in test output (and in the ctest names that
+// gtest_discover_tests derives from it) instead of dumping its bytes.
+void PrintTo(SocketKind kind, std::ostream* os) { *os << KindName(kind); }
+
+std::unique_ptr<SocketTransport> MakeSocketTransport(
+    SocketKind kind, MetricRegistry* metrics, std::string endpoint = "",
+    SocketOptions options = {}) {
+  if (kind == SocketKind::kTcp) {
+    return std::make_unique<TcpTransport>(metrics, std::move(endpoint),
+                                          std::move(options));
+  }
+  dataplane::EventLoopOptions epoll_options;
+  static_cast<SocketOptions&>(epoll_options) = std::move(options);
+  return std::make_unique<dataplane::EventLoopTransport>(
+      metrics, std::move(endpoint), std::move(epoll_options));
+}
+
+// Expects `fn` to throw a TransportError whose message contains `phrase`.
+// Any other exception escapes and fails the test, as it would end a
+// process whose caller catches only TransportError.
+template <typename Fn>
+void ExpectRefused(Fn fn, const std::string& phrase) {
+  try {
+    fn();
+  } catch (const TransportError& e) {
+    EXPECT_NE(std::string(e.what()).find(phrase), std::string::npos)
+        << e.what();
+    return;
+  }
+  ADD_FAILURE() << "no TransportError; expected '" << phrase << "'";
+}
+
+class SocketTransportContract : public ::testing::TestWithParam<SocketKind> {
+ protected:
+  MetricRegistry metrics_;
+};
+
+TEST_P(SocketTransportContract, MisuseIsRefused) {
+  auto client = MakeSocketTransport(GetParam(), &metrics_, "127.0.0.1:9");
+  ExpectRefused([&] { client->Bind(); }, "Bind on a client-mode transport");
+  ExpectRefused([&] { client->Listen([](Connection*, Frame) {}); },
+                "Listen on a client-mode transport");
+
+  auto unbound = MakeSocketTransport(GetParam(), &metrics_);
+  ExpectRefused([&] { unbound->Connect([](Connection*, Frame) {}); },
+                "Connect before Bind and without endpoint");
+
+  auto server = MakeSocketTransport(GetParam(), &metrics_);
+  server->Listen([](Connection*, Frame) {});
+  ExpectRefused([&] { server->Listen([](Connection*, Frame) {}); },
+                "Listen called twice");
+}
+
+TEST_P(SocketTransportContract, EndpointReportsADialableAddress) {
+  SocketOptions any;
+  any.bind_address = "0.0.0.0";
+  auto wildcard = MakeSocketTransport(GetParam(), &metrics_, "", any);
+  wildcard->Bind();
+  const std::string endpoint = wildcard->endpoint();
+  EXPECT_EQ(endpoint.rfind("127.0.0.1:", 0), 0u) << endpoint;
+  EXPECT_NE(endpoint, "127.0.0.1:0") << "the ephemeral port is reported";
+
+  SocketOptions advertised = any;
+  advertised.advertise_address = "10.1.2.3";
+  auto named = MakeSocketTransport(GetParam(), &metrics_, "", advertised);
+  named->Bind();
+  EXPECT_EQ(named->endpoint().rfind("10.1.2.3:", 0), 0u) << named->endpoint();
+}
+
+// Endpoints reach Connect from flags and from the wire (a leader redirect),
+// so every malformed one must be a TransportError before any dial: not an
+// exception the caller does not catch, and not a truncated port.
+TEST_P(SocketTransportContract, MalformedEndpointIsRefusedBeforeDialing) {
+  SocketOptions one_try;
+  one_try.connect_attempts = 1;
+  for (const char* endpoint :
+       {"127.0.0.1:abc", "127.0.0.1:99999999999", "127.0.0.1:70000",
+        "127.0.0.1:1x", "127.0.0.1:", "127.0.0.1:0", "127.0.0.1:-1",
+        "127.0.0.1: 80", ":80", "localhost"}) {
+    SCOPED_TRACE(endpoint);
+    auto client = MakeSocketTransport(GetParam(), &metrics_, endpoint, one_try);
+    ExpectRefused([&] { client->Connect([](Connection*, Frame) {}); },
+                  "malformed endpoint");
+  }
+}
+
+TEST_P(SocketTransportContract, ConnectAfterShutdownIsRefused) {
+  auto server = MakeSocketTransport(GetParam(), &metrics_);
+  server->Listen([](Connection*, Frame) {});
+  auto client = MakeSocketTransport(GetParam(), &metrics_, server->endpoint());
+  client->Shutdown();
+  ExpectRefused([&] { client->Connect([](Connection*, Frame) {}); },
+                "transport is shut down");
+
+  server->Shutdown();
+  ExpectRefused([&] { server->Connect([](Connection*, Frame) {}); },
+                "transport is shut down");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    NetTransport, SocketTransportContract,
+    ::testing::Values(SocketKind::kTcp, SocketKind::kEpoll),
+    [](const ::testing::TestParamInfo<SocketKind>& info) {
+      return std::string(KindName(info.param));
+    });
 
 }  // namespace
 }  // namespace opmr::net
