@@ -46,6 +46,13 @@ class PayloadReader {
   std::uint8_t U8() { return static_cast<std::uint8_t>(*Take(1)); }
   std::string Bytes(std::size_t n) { return std::string(Take(n), n); }
   [[nodiscard]] bool Exhausted() const { return pos_ == body_.size(); }
+  // The reserve for `n` encoded elements of at least `min_bytes` each,
+  // capped by what the payload can still hold: a corrupt count must fail
+  // in Take(), not as an allocation of billions of elements.
+  [[nodiscard]] std::size_t Fit(std::uint64_t n, std::size_t min_bytes) const {
+    return static_cast<std::size_t>(
+        std::min<std::uint64_t>(n, (body_.size() - pos_) / min_bytes));
+  }
 
  private:
   const char* Take(std::size_t n) {
@@ -101,13 +108,13 @@ CheckpointImage ParseCheckpointImage(const std::string& body) {
   CheckpointImage image;
   image.watermark = in.U64();
   const std::uint32_t n_feeds = in.U32();
-  image.feeds.reserve(n_feeds);
+  image.feeds.reserve(in.Fit(n_feeds, 4 + 8));
   for (std::uint32_t i = 0; i < n_feeds; ++i) {
     const std::uint32_t feed = in.U32();
     image.feeds.emplace_back(feed, in.U64());
   }
   const std::uint32_t n_spills = in.U32();
-  image.spill_files.reserve(n_spills);
+  image.spill_files.reserve(in.Fit(n_spills, 4 + 8));
   for (std::uint32_t i = 0; i < n_spills; ++i) {
     CheckpointImage::SpillFile spill;
     spill.path = in.Bytes(in.U32());
@@ -115,7 +122,7 @@ CheckpointImage ParseCheckpointImage(const std::string& body) {
     image.spill_files.push_back(std::move(spill));
   }
   const std::uint32_t n_sketch = in.U32();
-  image.sketch.reserve(n_sketch);
+  image.sketch.reserve(in.Fit(n_sketch, 4 + 8 + 8));
   for (std::uint32_t i = 0; i < n_sketch; ++i) {
     CheckpointImage::SketchEntry entry;
     entry.key = in.Bytes(in.U32());
@@ -125,7 +132,7 @@ CheckpointImage ParseCheckpointImage(const std::string& body) {
   }
   image.sketch_stream_length = in.U64();
   const std::uint64_t n_entries = in.U64();
-  image.entries.reserve(n_entries);
+  image.entries.reserve(in.Fit(n_entries, 4 + 4 + 1));
   for (std::uint64_t i = 0; i < n_entries; ++i) {
     const std::uint32_t klen = in.U32();
     const std::uint32_t slen = in.U32();

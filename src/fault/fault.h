@@ -32,7 +32,7 @@ enum class FaultPoint {
   kMapCrash,     // throw from inside a map task at record N / at rate
   kReduceCrash,  // throw from inside a reduce task at output record N / rate
   kIoWrite,      // throw from SequentialWriter::Flush (simulated EIO)
-  kIoRead,       // throw from SequentialReader::ReadExact
+  kIoRead,       // throw before a physical read (buffer refill)
   kReplicaLoss,  // drop replicas from block metadata (degrades locality)
   kSlowNode,     // per-record delay on one node (straggler injection)
   kFetchStall,   // delay a reducer's fetch of one map task's output

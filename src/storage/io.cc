@@ -1,10 +1,12 @@
 #include "storage/io.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
 
+#include <fcntl.h>
 #include <unistd.h>
 
 namespace opmr {
@@ -112,35 +114,75 @@ void SequentialWriter::Close() {
 
 SequentialReader::SequentialReader(const std::filesystem::path& path,
                                    IoChannel channel, std::size_t buffer_bytes)
-    : path_(path), channel_(channel) {
-  file_ = std::fopen(path.c_str(), "rb");
-  if (file_ == nullptr) ThrowErrno("SequentialReader: cannot open", path);
-  // stdio's own buffer provides the read-ahead; size it as requested.
-  std::setvbuf(file_, nullptr, _IOFBF, buffer_bytes);
+    : path_(path), channel_(channel), buffer_cap_(buffer_bytes) {
+  fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd_ < 0) ThrowErrno("SequentialReader: cannot open", path);
+  buffer_.reset(new char[buffer_cap_]);
 }
 
 SequentialReader::SequentialReader(SequentialReader&& other) noexcept
     : path_(std::move(other.path_)),
       channel_(other.channel_),
-      file_(other.file_),
-      bytes_read_(other.bytes_read_) {
-  other.file_ = nullptr;
+      fd_(other.fd_),
+      buffer_(std::move(other.buffer_)),
+      buffer_cap_(other.buffer_cap_),
+      pos_(other.pos_),
+      end_(other.end_),
+      file_pos_(other.file_pos_),
+      bytes_read_(other.bytes_read_),
+      charged_(other.charged_) {
+  other.fd_ = -1;  // the moved-from reader charges nothing
 }
 
 SequentialReader::~SequentialReader() {
-  if (file_ != nullptr) std::fclose(file_);
+  if (fd_ < 0) return;
+  ChargeConsumed(0);
+  ::close(fd_);
+}
+
+void SequentialReader::ChargeConsumed(std::int64_t ops) noexcept {
+  channel_.Add(static_cast<std::int64_t>(bytes_read_ - charged_), ops);
+  charged_ = bytes_read_;
+}
+
+std::size_t SequentialReader::PhysicalRead(char* dst, std::size_t n) {
+  if (auto* hook = GetIoFaultHook()) hook->BeforeRead(path_, file_pos_, n);
+  ssize_t got = 0;
+  do {
+    got = ::pread(fd_, dst, n, static_cast<off_t>(file_pos_));
+  } while (got < 0 && errno == EINTR);
+  if (got < 0) ThrowErrno("SequentialReader: read", path_);
+  file_pos_ += static_cast<std::uint64_t>(got);
+  ChargeConsumed(1);
+  return static_cast<std::size_t>(got);
 }
 
 bool SequentialReader::ReadExact(char* dst, std::size_t n) {
-  if (auto* hook = GetIoFaultHook()) hook->BeforeRead(path_, bytes_read_, n);
-  const std::size_t got = std::fread(dst, 1, n, file_);
-  if (got == 0 && std::feof(file_)) return false;
-  if (got != n) {
-    throw std::runtime_error("SequentialReader: truncated read from " +
-                             path_.string());
+  std::size_t done = 0;
+  while (true) {
+    const std::size_t take = std::min(n - done, end_ - pos_);
+    if (take != 0) std::memcpy(dst + done, buffer_.get() + pos_, take);
+    pos_ += take;
+    done += take;
+    if (done == n) break;
+    // The buffer is drained: a read of at least one buffer goes straight
+    // into dst, anything smaller refills the buffer.
+    std::size_t got = 0;
+    if (n - done >= buffer_cap_) {
+      got = PhysicalRead(dst + done, n - done);
+      done += got;
+    } else {
+      got = PhysicalRead(buffer_.get(), buffer_cap_);
+      pos_ = 0;
+      end_ = got;
+    }
+    if (got == 0) {
+      if (done == 0) return false;
+      throw std::runtime_error("SequentialReader: truncated read from " +
+                               path_.string());
+    }
   }
   bytes_read_ += n;
-  channel_.Add(static_cast<std::int64_t>(n));
   return true;
 }
 
@@ -159,12 +201,9 @@ bool SequentialReader::ReadU64(std::uint64_t* v) {
 }
 
 void SequentialReader::Seek(std::uint64_t offset) {
-  // fseeko/off_t, not fseek/long: on 32-bit long platforms (and Windows)
-  // fseek narrows the offset and a > 2 GiB spill run would seek to the
-  // wrong position.
-  if (::fseeko(file_, static_cast<off_t>(offset), SEEK_SET) != 0) {
-    ThrowErrno("SequentialReader: fseeko", path_);
-  }
+  pos_ = 0;
+  end_ = 0;
+  file_pos_ = offset;
 }
 
 std::uint64_t SequentialReader::FileSize() const {

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <string>
 
 #include "common/slice.h"
@@ -25,8 +26,9 @@ class IoFaultHook {
  public:
   virtual ~IoFaultHook() = default;
 
-  // `offset` is the logical byte offset of the operation within the file
-  // (bytes written/read so far); `bytes` the size of this physical op.
+  // `offset` is the file offset at which the physical op starts; `bytes`
+  // its size (for a read, the size requested: one buffer refill, or one
+  // direct read of at least a buffer).
   virtual void BeforeWrite(const std::filesystem::path& path,
                            std::uint64_t offset, std::size_t bytes) = 0;
   virtual void BeforeRead(const std::filesystem::path& path,
@@ -83,6 +85,12 @@ class SequentialWriter {
   std::uint64_t bytes_written_ = 0;
 };
 
+// Buffered reader, the mirror of SequentialWriter: fields are served from
+// an owned buffer that one physical read refills, so the fault hook and the
+// channel's op count see physical reads, not fields.  The channel is charged
+// the logical bytes consumed (byte-exact, including a Seek'd segment reader
+// whose read-ahead runs past its segment), batched at each refill and in the
+// destructor.
 class SequentialReader {
  public:
   SequentialReader(const std::filesystem::path& path, IoChannel channel,
@@ -101,7 +109,7 @@ class SequentialReader {
   bool ReadU32(std::uint32_t* v);
   bool ReadU64(std::uint64_t* v);
 
-  // Positions the reader at `offset` from the file start.
+  // Positions the reader at `offset` from the file start (drops the buffer).
   void Seek(std::uint64_t offset);
 
   [[nodiscard]] std::uint64_t bytes_read() const noexcept {
@@ -110,10 +118,22 @@ class SequentialReader {
   [[nodiscard]] std::uint64_t FileSize() const;
 
  private:
+  // One physical read of up to n bytes at file_pos_ into dst, after the
+  // fault hook; charges the channel what was consumed since the last charge
+  // plus one op.  Returns the bytes read (0 at EOF).
+  std::size_t PhysicalRead(char* dst, std::size_t n);
+  void ChargeConsumed(std::int64_t ops) noexcept;
+
   std::filesystem::path path_;
   IoChannel channel_;
-  std::FILE* file_ = nullptr;
-  std::uint64_t bytes_read_ = 0;
+  int fd_ = -1;
+  std::unique_ptr<char[]> buffer_;
+  std::size_t buffer_cap_;
+  std::size_t pos_ = 0;          // next unread byte in buffer_
+  std::size_t end_ = 0;          // end of the valid bytes in buffer_
+  std::uint64_t file_pos_ = 0;   // file offset of the next physical read
+  std::uint64_t bytes_read_ = 0; // logical bytes consumed since open
+  std::uint64_t charged_ = 0;    // the prefix of bytes_read_ charged so far
 };
 
 }  // namespace opmr

@@ -38,7 +38,11 @@ inline constexpr const char* kNetSegmentWrite = "net_segment.bytes_written";
 }  // namespace device
 
 // Handle pair for one I/O channel: resolves counters once, then hot paths
-// only touch atomics.
+// only touch atomics.  `<channel>` counts logical bytes and `<channel>.ops`
+// physical operations in both directions: a writer charges per flush, a
+// reader per buffer refill (or direct read of at least a buffer), so an
+// open reader's byte count lags what it has consumed by at most one buffer
+// (or that one direct read).
 class IoChannel {
  public:
   IoChannel() = default;
@@ -47,10 +51,11 @@ class IoChannel {
         ops_(registry != nullptr ? registry->Get(bytes_counter + ".ops")
                                  : nullptr) {}
 
-  void Add(std::int64_t bytes) noexcept {
+  // Charges `bytes` and `ops` physical operations.
+  void Add(std::int64_t bytes, std::int64_t ops = 1) noexcept {
     if (bytes_ != nullptr) {
-      bytes_->Add(bytes);
-      ops_->Increment();
+      if (bytes != 0) bytes_->Add(bytes);
+      if (ops != 0) ops_->Add(ops);
     }
   }
 
