@@ -11,9 +11,8 @@
 #include "common/hash.h"
 #include "common/rng.h"
 #include "engine/aggregators.h"
+#include "engine/hash_table.h"
 #include "engine/map_output.h"
-#include "frequent/lossy_counting.h"
-#include "frequent/misra_gries.h"
 #include "frequent/space_saving.h"
 #include "metrics/counters.h"
 #include "storage/file_manager.h"
@@ -60,12 +59,9 @@ void BM_MapHashFold(benchmark::State& state) {
   const std::string one = EncodeValueU64(1);
   SumAggregator sum;
   for (auto _ : state) {
-    MapCombineTable table(&sum);
-    for (const auto& k : keys) {
-      const std::uint64_t h = BytesHash(k);
-      table.Fold(static_cast<std::uint32_t>(h % 8), h, k, one, false);
-    }
-    benchmark::DoNotOptimize(table.NumKeys());
+    HashTable table(&sum);
+    for (const auto& k : keys) table.Fold(BytesHash(k), k, one, false);
+    benchmark::DoNotOptimize(table.size());
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
@@ -94,22 +90,15 @@ BENCHMARK(BM_TabulationHash);
 
 void BM_SketchOffer(benchmark::State& state) {
   const auto keys = MakeKeys(1 << 16, 100'000, 1.1);
-  std::unique_ptr<FrequentSketch> sketch;
-  switch (state.range(0)) {
-    case 0: sketch = std::make_unique<SpaceSaving>(1024); break;
-    case 1: sketch = std::make_unique<MisraGries>(1024); break;
-    default: sketch = std::make_unique<LossyCounting>(1e-3); break;
-  }
+  SpaceSaving sketch(1024);
   std::size_t i = 0;
   for (auto _ : state) {
-    sketch->Offer(keys[i++ & 0xffff]);
+    sketch.Offer(keys[i++ & 0xffff]);
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(state.range(0) == 0   ? "space_saving"
-                 : state.range(0) == 1 ? "misra_gries"
-                                       : "lossy_counting");
+  state.SetLabel("space_saving");
 }
-BENCHMARK(BM_SketchOffer)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_SketchOffer)->Arg(0);
 
 void BM_KWayMerge(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));

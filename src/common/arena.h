@@ -1,7 +1,10 @@
 // Arena allocator: the core of the paper's byte-array memory-management
-// library.  Map-output buffers, hash-table states and spill staging all
-// allocate from arenas so that a whole buffer is released in O(1) and no
-// per-record allocation ever reaches the general-purpose heap.
+// library.  Two kinds of owner allocate from arenas: the sort path's
+// MapOutputBuffer (every record's key and value bytes) and the engine's
+// HashTable (every key, and the values of value-list tables).  Aggregator
+// states stay std::string, one per key, held by the table's entry.  A
+// whole arena is released in O(1), and no per-record allocation reaches
+// the general-purpose heap.
 #pragma once
 
 #include <cstddef>

@@ -21,7 +21,7 @@ IncrementalStore::IncrementalStore(const Aggregator* aggregator,
   if (hot_key_capacity > 0) sketch_.emplace(hot_key_capacity);
 }
 
-void IncrementalStore::RemarkEarlyEmitted(Slice key, StateTable::Entry* entry) {
+void IncrementalStore::RemarkEarlyEmitted(Slice key, HashTable::Entry* entry) {
   if (auto it = emitted_elsewhere_.find(key.view());
       it != emitted_elsewhere_.end()) {
     entry->early_emitted = true;
@@ -32,7 +32,7 @@ void IncrementalStore::RemarkEarlyEmitted(Slice key, StateTable::Entry* entry) {
 void IncrementalStore::Demote(Slice key) {
   std::string state;
   bool early_emitted = false;
-  if (!table_.Extract(key, &state, &early_emitted)) return;
+  if (!table_.Extract(Hash(key), key, &state, &early_emitted)) return;
   if (early_emitted) emitted_elsewhere_.emplace(key.view());
   if (cold_ == nullptr) {
     runs_.push_back(env_.files->NewFile("cold_run"));
@@ -47,9 +47,10 @@ void IncrementalStore::DemoteColdest() {
   // Rare: the sketch capacity normally bounds residency first.
   std::vector<std::pair<std::uint64_t, std::string>> by_estimate;
   by_estimate.reserve(table_.size());
-  table_.ForEach([&](Slice key, const StateTable::Entry&) {
-    by_estimate.emplace_back(sketch_->Estimate(key), std::string(key.view()));
-  });
+  for (const auto& entry : table_.entries()) {
+    by_estimate.emplace_back(sketch_->Estimate(entry.key),
+                             entry.key.ToString());
+  }
   std::sort(by_estimate.begin(), by_estimate.end());
   for (const auto& [estimate, key] : by_estimate) {
     if (table_.MemoryBytes() <= budget_bytes_) break;
@@ -63,10 +64,10 @@ void IncrementalStore::SpillTable() {
   const auto path = env_.files->NewFile("incr_spill");
   auto writer = NewSpillSink(compress_spills_, path,
                              IoChannel(env_.metrics, device::kSpillWrite));
-  table_.ForEach([&](Slice key, const StateTable::Entry& entry) {
-    writer->Append(key, entry.state);
-    if (entry.early_emitted) emitted_elsewhere_.emplace(key.view());
-  });
+  for (const auto& entry : table_.entries()) {
+    writer->Append(entry.key, entry.state);
+    if (entry.early_emitted) emitted_elsewhere_.emplace(entry.key.view());
+  }
   writer->Close();
   table_.Clear();
   runs_.push_back(path);
@@ -104,16 +105,17 @@ void IncrementalStore::CaptureResident(CheckpointImage* image) const {
     image->sketch_stream_length += sketch_->StreamLength();
   }
   image->entries.reserve(image->entries.size() + table_.size());
-  table_.ForEach([&](Slice key, const StateTable::Entry& entry) {
+  for (const auto& entry : table_.entries()) {
     image->entries.push_back(
-        {std::string(key.view()), entry.state, entry.early_emitted});
-  });
+        {entry.key.ToString(), entry.state, entry.early_emitted});
+  }
 }
 
 void IncrementalStore::Restore(const CheckpointImage& image) {
   Discard();
   for (const auto& entry : image.entries) {
-    table_.Fold(entry.key, entry.state, /*value_is_state=*/true)
+    table_.Fold(Hash(entry.key), entry.key, entry.state,
+                /*value_is_state=*/true)
         .early_emitted = entry.early_emitted;
   }
   if (sketch_.has_value()) {
@@ -147,38 +149,29 @@ void IncrementalStore::Discard() {
 }
 
 void IncrementalStore::Resolve(OutputCollector& out) {
-  const Aggregator& agg = *aggregator_;
   std::string final_value;
+  auto emit = [&](const HashTable::Entry& entry) {
+    aggregator_->Finalize(entry.state, &final_value);
+    out.Emit(entry.key, final_value);
+  };
   if (runs_.empty()) {
     // Pure in-memory one-pass processing: a finalize scan is all that
     // remains.
-    table_.ForEach([&](Slice key, const StateTable::Entry& entry) {
-      agg.Finalize(entry.state, &final_value);
-      out.Emit(key, final_value);
-    });
+    for (const auto& entry : table_.entries()) emit(entry);
     return;
   }
   // The resident states join the open cold run, or become one more run.
   if (cold_ != nullptr) {
-    table_.ForEach([&](Slice key, const StateTable::Entry& entry) {
-      cold_->Append(key, entry.state);
-    });
+    for (const auto& entry : table_.entries()) {
+      cold_->Append(entry.key, entry.state);
+    }
     table_.Clear();
-  } else if (table_.size() > 0) {
+  } else if (!table_.empty()) {
     SpillTable();
   }
   CloseCold();
-  ExternalHashAggregate(
-      runs_, /*level=*/0, budget_bytes_, env_,
-      [&](Slice key, const std::vector<Slice>& states) {
-        std::string state(states.front().data(), states.front().size());
-        for (std::size_t i = 1; i < states.size(); ++i) {
-          agg.Merge(&state, states[i]);
-        }
-        agg.Finalize(state, &final_value);
-        out.Emit(key, final_value);
-      },
-      compress_spills_);
+  ExternalHashAggregate(runs_, /*level=*/0, budget_bytes_, env_, aggregator_,
+                        emit, compress_spills_);
   for (const auto& path : runs_) std::filesystem::remove(path);
   runs_.clear();
 }

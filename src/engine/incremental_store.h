@@ -23,8 +23,9 @@
 #include <vector>
 
 #include "checkpoint/checkpoint.h"
+#include "common/hash.h"
+#include "engine/hash_table.h"
 #include "engine/reduce_common.h"
-#include "engine/state_table.h"
 #include "frequent/space_saving.h"
 
 namespace opmr {
@@ -57,7 +58,7 @@ class IncrementalStore {
   // Offers `key` to the sketch (demoting the key it evicts when the table
   // is above ¾ of the budget), then folds `value` into `key`'s state.  The
   // returned entry is valid until the next mutating call.
-  StateTable::Entry& Fold(Slice key, Slice value, bool is_state) {
+  HashTable::Entry& Fold(Slice key, Slice value, bool is_state) {
     if (sketch_.has_value()) {
       // The eviction is the demotion signal — but demotion only matters
       // under memory pressure: while the table is comfortably inside its
@@ -68,7 +69,7 @@ class IncrementalStore {
         Demote(*victim);
       }
     }
-    StateTable::Entry& entry = table_.Fold(key, value, is_state);
+    HashTable::Entry& entry = table_.Fold(Hash(key), key, value, is_state);
     if (!emitted_elsewhere_.empty() && !entry.early_emitted) {
       RemarkEarlyEmitted(key, &entry);
     }
@@ -105,15 +106,21 @@ class IncrementalStore {
   // re-aggregated, then removed.
   void Resolve(OutputCollector& out);
 
-  [[nodiscard]] const StateTable& table() const noexcept { return table_; }
+  // The resident entry of `key`; nullptr when it is not resident.
+  [[nodiscard]] const HashTable::Entry* Find(Slice key) const {
+    return table_.Find(Hash(key), key);
+  }
+  [[nodiscard]] const HashTable& table() const noexcept { return table_; }
   [[nodiscard]] bool spilled() const noexcept { return !runs_.empty(); }
 
  private:
+  static std::uint64_t Hash(Slice key) noexcept { return BytesHash(key); }
+
   void Demote(Slice key);
   void DemoteColdest();
   void SpillTable();
   void CloseCold();
-  void RemarkEarlyEmitted(Slice key, StateTable::Entry* entry);
+  void RemarkEarlyEmitted(Slice key, HashTable::Entry* entry);
 
   const Aggregator* aggregator_;
   std::size_t budget_bytes_;
@@ -121,7 +128,7 @@ class IncrementalStore {
   RuntimeEnv env_;
   Counter* demotions_;
 
-  StateTable table_;
+  HashTable table_;
   std::optional<SpaceSaving> sketch_;
   std::vector<std::filesystem::path> runs_;
   std::unique_ptr<RecordSink> cold_;  // open cold run, the last of runs_

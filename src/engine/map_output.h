@@ -1,15 +1,12 @@
-// Map-side output structures.
+// Map-side output structures: the layout of a map task's spill file
+// (Segment, MapOutputFile) and the sort path's MapOutputBuffer.  Key/value
+// bytes land in the buffer's arena, record metadata in a flat vector; a
+// buffer sort on the compound (partition, key) achieves partitioning and
+// per-partition order in one pass (paper §II-A).  This sort is the CPU
+// overhead Table II exposes.  The hash path with a combiner folds into a
+// HashTable (engine/hash_table.h) instead and never sorts; see MapTask.
 //
-//   * MapOutputBuffer  — the Hadoop path: key/value bytes land in an arena,
-//     record metadata in a flat vector; a buffer sort on the compound
-//     (partition, key) achieves partitioning + per-partition order in one
-//     pass (paper §II-A).  This sort is the CPU overhead Table II exposes.
-//   * MapCombineTable  — the hash path with a combiner: an open-addressing
-//     table keyed by (partition, key bytes) folding values into aggregator
-//     states in place; Hybrid-Hash degenerates to this in-memory table when
-//     the map output fits, which the paper notes is the common case.
-//
-// Both structures are owned by a single map-task thread (no sharing).
+// A buffer is owned by a single map-task thread (no sharing).
 #pragma once
 
 #include <cstdint>
@@ -18,7 +15,6 @@
 #include <vector>
 
 #include "common/arena.h"
-#include "common/hash.h"
 #include "common/slice.h"
 #include "engine/job.h"
 
@@ -92,62 +88,6 @@ class MapOutputBuffer {
   Arena arena_;
   std::vector<RecordMeta> records_;
   std::size_t payload_bytes_ = 0;
-};
-
-// --- Hash path ---------------------------------------------------------------
-
-// Open-addressing (linear probing) table folding map output into per-key
-// aggregator states.  Keys are arena-copied once; states are flat byte
-// strings updated in place.  No sorting anywhere — the CPU saving the paper
-// reports in §V.
-class MapCombineTable {
- public:
-  struct Entry {
-    std::uint64_t hash = 0;
-    std::uint32_t partition = 0;
-    Slice key;          // arena-backed
-    std::string state;  // aggregator state
-    bool used = false;
-  };
-
-  explicit MapCombineTable(const Aggregator* aggregator,
-                           std::size_t initial_slots = 1u << 12);
-
-  // Folds (partition, key, value) into the key's state.  `value_is_state`
-  // distinguishes raw map-function output from already-combined states
-  // (re-combining spilled runs).  The overload taking `key_hash` reuses the
-  // partitioner's hash so each record is hashed exactly once — part of the
-  // "scan once, no sorting" CPU story of §V.
-  void Fold(std::uint32_t partition, Slice key, Slice value,
-            bool value_is_state);
-  void Fold(std::uint32_t partition, std::uint64_t key_hash, Slice key,
-            Slice value, bool value_is_state);
-
-  [[nodiscard]] std::size_t MemoryBytes() const noexcept {
-    return arena_.allocated_bytes() + slots_.size() * sizeof(std::uint32_t) +
-           entries_.size() * (sizeof(Entry) + 16) + state_bytes_;
-  }
-  [[nodiscard]] std::size_t NumKeys() const noexcept { return entries_.size(); }
-  [[nodiscard]] bool Empty() const noexcept { return entries_.empty(); }
-
-  // Entries grouped by partition (ascending); within a partition the order
-  // is arbitrary — hash output is unsorted by design.
-  [[nodiscard]] std::vector<const Entry*> EntriesByPartition() const;
-
-  void Clear();
-
-  // Number of probe steps performed (hash CPU proxy for calibration).
-  [[nodiscard]] std::uint64_t probes() const noexcept { return probes_; }
-
- private:
-  void Grow();
-
-  const Aggregator* aggregator_;
-  Arena arena_;
-  std::vector<std::uint32_t> slots_;  // index+1 into entries_; 0 = empty
-  std::vector<Entry> entries_;
-  std::size_t state_bytes_ = 0;
-  std::uint64_t probes_ = 0;
 };
 
 }  // namespace opmr

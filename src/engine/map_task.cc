@@ -1,8 +1,10 @@
 #include "engine/map_task.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "engine/aggregators.h"
+#include "engine/hash_table.h"
 #include "engine/map_output.h"
 
 namespace opmr {
@@ -40,30 +42,23 @@ class BufferCollector final : public OutputCollector {
   MapTask::Stats* stats_;
 };
 
-// Folds map-function output into the combine table.
+// Folds map-function output into the combine table.  The partitioner's
+// hash is the table's hash: one hash per record, and the partition is
+// derived from it at flush time, once per distinct key.
 class TableCollector final : public OutputCollector {
  public:
-  TableCollector(MapCombineTable* table, int num_reducers,
-                 MapTask::Stats* stats)
-      : table_(table), num_reducers_(num_reducers), stats_(stats) {}
+  TableCollector(HashTable* table, MapTask::Stats* stats)
+      : table_(table), stats_(stats) {}
 
   void Emit(Slice key, Slice value) override {
-    // One hash per record: it selects the partition and probes the table.
-    const std::uint64_t h = BytesHash(key, kPartitionSeed);
-    const auto partition =
-        partitioner_ ? partitioner_(key, num_reducers_)
-                     : static_cast<std::uint32_t>(
-                           h % static_cast<std::uint64_t>(num_reducers_));
-    table_->Fold(partition, h, key, value, /*value_is_state=*/false);
+    table_->Fold(BytesHash(key, kPartitionSeed), key, value,
+                 /*value_is_state=*/false);
     ++stats_->output_records;
     stats_->output_bytes += key.size() + value.size();
   }
 
-  std::function<std::uint32_t(Slice, int)> partitioner_;
-
  private:
-  MapCombineTable* table_;
-  int num_reducers_;
+  HashTable* table_;
   MapTask::Stats* stats_;
 };
 
@@ -182,18 +177,35 @@ void MapTask::RunSortPath(DfsBlockReader& reader) {
 }
 
 void MapTask::RunHashCombinePath(DfsBlockReader& reader) {
-  MapCombineTable table(spec_.aggregator.get());
-  TableCollector collector(&table, spec_.num_reducers, &stats_);
-  collector.partitioner_ = spec_.partitioner;
+  HashTable table(spec_.aggregator.get());
+  TableCollector collector(&table, &stats_);
   Slice record;
   ThreadCpuTimer cpu;
+  std::vector<std::uint32_t> partition;
+  std::vector<std::uint32_t> order;
   auto flush = [&] {
     env_.profiler->AddCpuNanos("map_hash", cpu.Nanos());
-    if (!table.Empty()) {
+    if (!table.empty()) {
       PhaseScope flush_cpu(env_.profiler, "map_flush");
+      const auto& entries = table.entries();
+      const auto reducers = static_cast<std::uint64_t>(spec_.num_reducers);
+      partition.resize(entries.size());
+      order.resize(entries.size());
+      for (std::uint32_t i = 0; i < entries.size(); ++i) {
+        partition[i] =
+            spec_.partitioner
+                ? spec_.partitioner(entries[i].key, spec_.num_reducers)
+                : static_cast<std::uint32_t>(entries[i].hash % reducers);
+        order[i] = i;
+      }
+      // Grouped by partition; within one, the table's (insertion) order.
+      std::stable_sort(order.begin(), order.end(),
+                       [&](std::uint32_t a, std::uint32_t b) {
+                         return partition[a] < partition[b];
+                       });
       sink_->BeginBatch(/*sorted=*/false);
-      for (const auto* entry : table.EntriesByPartition()) {
-        sink_->BatchAppend(entry->partition, entry->key, entry->state);
+      for (const std::uint32_t i : order) {
+        sink_->BatchAppend(partition[i], entries[i].key, entries[i].state);
       }
       sink_->EndBatch();
       table.Clear();

@@ -3,13 +3,14 @@
 //
 //   * kSortMerge — buffer + block-level sort on (partition, key), optional
 //     combine over sorted groups, spill when the buffer fills (Hadoop).
-//   * kHash + combine — MapCombineTable folding values into states; flushes
+//   * kHash + combine — a HashTable folding values into states; flushes
 //     the table when it exceeds the buffer (the in-memory degenerate case
 //     of map-side Hybrid Hash, §V map technique 2).
 //   * kHash, no combine — partition-only scan: records stream straight to
 //     the sink, no grouping work at all (§V map technique 1).
 #pragma once
 
+#include "common/hash.h"
 #include "dfs/dfs.h"
 #include "engine/job.h"
 #include "engine/map_sinks.h"

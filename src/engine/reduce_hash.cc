@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "engine/state_table.h"
-
 namespace opmr {
 
 namespace {
@@ -28,13 +26,25 @@ class VectorValueIterator final : public ValueIterator {
   std::size_t pos_ = 0;
 };
 
+// Appends every entry of `table` to `sink`: the state of a state table,
+// every value of a value-list table.
+void SpillEntries(const HashTable& table, RecordSink& sink, bool states) {
+  for (const auto& e : table.entries()) {
+    if (states) {
+      sink.Append(e.key, e.state);
+    } else {
+      for (const Slice& v : e.values) sink.Append(e.key, v);
+    }
+  }
+}
+
 }  // namespace
 
 void ExternalHashAggregate(
     const std::vector<std::filesystem::path>& runs, int level,
     std::size_t memory_budget, const RuntimeEnv& env,
-    const std::function<void(Slice key, const std::vector<Slice>& values)>&
-        emit_group,
+    const Aggregator* aggregator,
+    const std::function<void(const HashTable::Entry& entry)>& emit,
     bool compress) {
   if (level > kMaxRecursionLevel) {
     throw std::runtime_error(
@@ -45,11 +55,14 @@ void ExternalHashAggregate(
   const HashFamily family(0x5eedf00dULL);
 
   struct SubBucket {
-    HashValueTable table;
+    explicit SubBucket(const Aggregator* aggregator) : table(aggregator) {}
+    HashTable table;
     std::unique_ptr<RecordSink> spill;
     std::filesystem::path spill_path;
   };
-  std::vector<SubBucket> buckets(kSubBuckets);
+  std::vector<SubBucket> buckets;
+  buckets.reserve(kSubBuckets);
+  for (int b = 0; b < kSubBuckets; ++b) buckets.emplace_back(aggregator);
 
   IoChannel spill_read(env.metrics, device::kSpillRead);
   IoChannel spill_write(env.metrics, device::kSpillWrite);
@@ -73,9 +86,7 @@ void ExternalHashAggregate(
     if (victim == nullptr) return false;
     victim->spill_path = env.files->NewFile("hash_spill");
     victim->spill = NewSpillSink(compress, victim->spill_path, spill_write);
-    victim->table.ForEach([&](Slice key, const std::vector<Slice>& values) {
-      for (const Slice& v : values) victim->spill->Append(key, v);
-    });
+    SpillEntries(victim->table, *victim->spill, aggregator != nullptr);
     victim->table.Clear();
     return true;
   };
@@ -84,13 +95,15 @@ void ExternalHashAggregate(
   for (const auto& path : runs) {
     auto reader = OpenSpillRun(compress, path, spill_read);
     while (reader->Next()) {
-      const int b = static_cast<int>(family.Hash(level, reader->key()) %
-                                     kSubBuckets);
-      SubBucket& bucket = buckets[b];
+      const std::uint64_t h = family.Hash(level, reader->key());
+      SubBucket& bucket = buckets[h % kSubBuckets];
       if (bucket.spill != nullptr) {
         bucket.spill->Append(reader->key(), reader->value());
+      } else if (aggregator != nullptr) {
+        bucket.table.Fold(h, reader->key(), reader->value(),
+                          /*value_is_state=*/true);
       } else {
-        bucket.table.Add(reader->key(), reader->value());
+        bucket.table.Append(h, reader->key(), reader->value());
       }
       if (++since_check >= 64) {
         since_check = 0;
@@ -100,16 +113,20 @@ void ExternalHashAggregate(
     }
   }
 
+  // Resident buckets first, released as they go, so the recursion below
+  // has the whole budget to itself.
   for (auto& bucket : buckets) {
-    if (bucket.spill != nullptr) {
-      bucket.spill->Close();
-      bucket.spill.reset();
-      ExternalHashAggregate({bucket.spill_path}, level + 1, memory_budget,
-                            env, emit_group, compress);
-      std::filesystem::remove(bucket.spill_path);
-    } else {
-      bucket.table.ForEach(emit_group);
-    }
+    if (bucket.spill != nullptr) continue;
+    for (const auto& e : bucket.table.entries()) emit(e);
+    bucket.table.Clear();
+  }
+  for (auto& bucket : buckets) {
+    if (bucket.spill == nullptr) continue;
+    bucket.spill->Close();
+    bucket.spill.reset();
+    ExternalHashAggregate({bucket.spill_path}, level + 1, memory_budget, env,
+                          aggregator, emit, compress);
+    std::filesystem::remove(bucket.spill_path);
   }
 }
 
@@ -120,38 +137,26 @@ HybridHashReducer::HybridHashReducer(int reducer_id, const JobSpec& spec,
       spec_(spec),
       options_(options),
       env_(env),
-      values_are_states_(spec.has_aggregator() && options.map_side_combine),
-      buckets_(kNumBuckets) {
-  for (auto& b : buckets_) {
-    if (spec_.has_aggregator()) {
-      b.states = std::make_unique<StateTable>(spec_.aggregator.get());
-    } else {
-      b.values = std::make_unique<HashValueTable>();
-    }
+      values_are_states_(spec.has_aggregator() && options.map_side_combine) {
+  buckets_.reserve(kNumBuckets);
+  for (int b = 0; b < kNumBuckets; ++b) {
+    buckets_.emplace_back(spec_.aggregator.get());
   }
 }
 
 std::size_t HybridHashReducer::ResidentBytes() const {
   std::size_t total = 0;
-  for (const auto& b : buckets_) {
-    if (b.values != nullptr) total += b.values->MemoryBytes();
-    if (b.states != nullptr) total += b.states->MemoryBytes();
-  }
+  for (const auto& b : buckets_) total += b.table.MemoryBytes();
   return total;
 }
 
 void HybridHashReducer::DemoteLargestBucket() {
   Bucket* victim = nullptr;
-  std::size_t victim_bytes = 0;
   for (auto& b : buckets_) {
-    if (b.spill != nullptr) continue;
-    const std::size_t bytes = b.values != nullptr ? b.values->MemoryBytes()
-                                                  : b.states->MemoryBytes();
-    const std::size_t keys =
-        b.values != nullptr ? b.values->size() : b.states->size();
-    if (keys > 1 && bytes > victim_bytes) {
+    if (b.spill == nullptr && b.table.size() > 1 &&
+        (victim == nullptr ||
+         b.table.MemoryBytes() > victim->table.MemoryBytes())) {
       victim = &b;
-      victim_bytes = bytes;
     }
   }
   if (victim == nullptr) return;
@@ -161,27 +166,13 @@ void HybridHashReducer::DemoteLargestBucket() {
   victim->spill = NewSpillSink(
       options_.compress_spills, victim->spill_path,
       IoChannel(env_.metrics, device::kSpillWrite));
-  if (victim->values != nullptr) {
-    victim->values->ForEach([&](Slice key, const std::vector<Slice>& values) {
-      for (const Slice& v : values) {
-        victim->spill->Append(key, v);
-        ++victim->spill_records;
-      }
-    });
-    victim->values->Clear();
-  } else {
-    victim->states->ForEach([&](Slice key, const StateTable::Entry& entry) {
-      victim->spill->Append(key, entry.state);
-      ++victim->spill_records;
-    });
-    victim->states->Clear();
-  }
+  SpillEntries(victim->table, *victim->spill, spec_.has_aggregator());
+  victim->table.Clear();
 }
 
 void HybridHashReducer::FoldRecord(Slice key, Slice value) {
-  const int b =
-      static_cast<int>(family_.Hash(/*member=*/0, key) % kNumBuckets);
-  Bucket& bucket = buckets_[b];
+  const std::uint64_t h = family_.Hash(/*member=*/0, key);
+  Bucket& bucket = buckets_[h % kNumBuckets];
   if (bucket.spill != nullptr) {
     if (spec_.has_aggregator() && !values_are_states_) {
       // Keep spill files uniform: with an aggregator, demoted buckets hold
@@ -192,30 +183,21 @@ void HybridHashReducer::FoldRecord(Slice key, Slice value) {
     } else {
       bucket.spill->Append(key, value);
     }
-    ++bucket.spill_records;
-    return;
-  }
-  if (bucket.states != nullptr) {
-    bucket.states->Fold(key, value, values_are_states_);
+  } else if (spec_.has_aggregator()) {
+    bucket.table.Fold(h, key, value, values_are_states_);
   } else {
-    bucket.values->Add(key, value);
+    bucket.table.Append(h, key, value);
   }
 }
 
-void HybridHashReducer::EmitResidentBucket(Bucket& bucket,
-                                           OutputCollector& out) {
-  const auto reduce_fn = MakeReduceFn(spec_, values_are_states_);
-  if (bucket.states != nullptr) {
-    std::string final_value;
-    bucket.states->ForEach([&](Slice key, const StateTable::Entry& entry) {
-      spec_.aggregator->Finalize(entry.state, &final_value);
-      out.Emit(key, final_value);
-    });
+void HybridHashReducer::EmitEntry(const HashTable::Entry& entry,
+                                  OutputCollector& out) {
+  if (spec_.has_aggregator()) {
+    spec_.aggregator->Finalize(entry.state, &final_value_);
+    out.Emit(entry.key, final_value_);
   } else {
-    bucket.values->ForEach([&](Slice key, const std::vector<Slice>& values) {
-      VectorValueIterator it(values);
-      reduce_fn(key, it, out);
-    });
+    VectorValueIterator it(entry.values);
+    spec_.reduce(entry.key, it, out);
   }
 }
 
@@ -223,26 +205,11 @@ void HybridHashReducer::EmitSpilledBucket(Bucket& bucket,
                                           OutputCollector& out) {
   bucket.spill->Close();
   bucket.spill.reset();
-  const auto reduce_fn = MakeReduceFn(spec_, values_are_states_);
-  const bool agg = spec_.has_aggregator();
-  const Aggregator* aggregator = spec_.aggregator.get();
+  // Spill files hold states when the job has an aggregator.
   ExternalHashAggregate(
       {bucket.spill_path}, /*level=*/1, options_.reduce_buffer_bytes, env_,
-      [&](Slice key, const std::vector<Slice>& values) {
-        if (agg) {
-          // Spill files hold states by construction; merge then finalize.
-          std::string state(values.front().data(), values.front().size());
-          for (std::size_t i = 1; i < values.size(); ++i) {
-            aggregator->Merge(&state, values[i]);
-          }
-          std::string final_value;
-          aggregator->Finalize(state, &final_value);
-          out.Emit(key, final_value);
-        } else {
-          VectorValueIterator it(values);
-          reduce_fn(key, it, out);
-        }
-      },
+      spec_.aggregator.get(),
+      [&](const HashTable::Entry& entry) { EmitEntry(entry, out); },
       options_.compress_spills);
   std::filesystem::remove(bucket.spill_path);
 }
@@ -277,12 +244,15 @@ std::uint64_t HybridHashReducer::Run() {
                     spec_.output_file + ".part" + std::to_string(reducer_id_));
   {
     PhaseScope cpu(env_.profiler, "reduce_function");
+    // Resident buckets first, released as they go, so each spilled bucket
+    // is resolved within the budget alone.
     for (auto& bucket : buckets_) {
-      if (bucket.spill != nullptr) {
-        EmitSpilledBucket(bucket, out);
-      } else {
-        EmitResidentBucket(bucket, out);
-      }
+      if (bucket.spill != nullptr) continue;
+      for (const auto& entry : bucket.table.entries()) EmitEntry(entry, out);
+      bucket.table.Clear();
+    }
+    for (auto& bucket : buckets_) {
+      if (bucket.spill != nullptr) EmitSpilledBucket(bucket, out);
     }
   }
   out.Close();

@@ -6,8 +6,10 @@
 // into sub-buckets with a fresh hash-family member per recursion level;
 // buckets stay memory-resident until the budget is exceeded, at which point
 // the largest resident bucket is demoted to disk and its future arrivals
-// are appended straight to its file.  After input ends, resident buckets
-// are reduced in memory and spilled buckets are processed recursively.
+// are appended straight to its file.  Each bucket is one HashTable: a state
+// table when the job has an aggregator, else a value-list table.  After
+// input ends, resident buckets are reduced in memory and released first,
+// then spilled buckets are processed recursively within the same budget.
 //
 // This grouping works with or without a combine function, but remains a
 // blocking operation with I/O comparable to sort-merge — exactly the
@@ -20,64 +22,25 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/hash.h"
+#include "engine/hash_table.h"
 #include "engine/job.h"
 #include "engine/reduce_common.h"
 
 namespace opmr {
 
-// Hash table grouping full value lists per key (the no-aggregator mode of
-// hybrid hash: sessionization and inverted index have no combine function).
-class HashValueTable {
- public:
-  HashValueTable() = default;
-
-  void Add(Slice key, Slice value) {
-    auto it = map_.find(key.view());
-    if (it == map_.end()) {
-      it = map_.emplace(std::string(key.view()), std::vector<Slice>{}).first;
-      bytes_ += key.size() + kEntryOverhead;
-    }
-    it->second.push_back(arena_.Copy(value));
-    bytes_ += value.size() + sizeof(Slice);
-  }
-
-  [[nodiscard]] std::size_t MemoryBytes() const noexcept { return bytes_; }
-  [[nodiscard]] std::size_t size() const noexcept { return map_.size(); }
-
-  // Applies `fn(key, values)` to every group.
-  void ForEach(const std::function<void(Slice, const std::vector<Slice>&)>& fn)
-      const {
-    for (const auto& [key, values] : map_) fn(key, values);
-  }
-
-  void Clear() {
-    map_.clear();
-    arena_.Reset();
-    bytes_ = 0;
-  }
-
- private:
-  static constexpr std::size_t kEntryOverhead = 96;
-
-  Arena arena_;
-  std::unordered_map<std::string, std::vector<Slice>, TransparentStringHash,
-                     std::equal_to<>>
-      map_;
-  std::size_t bytes_ = 0;
-};
-
-// Recursively groups-and-reduces the records of `runs` (on-disk files of
-// framed (key, value-or-state) records) within `memory_budget`, calling
-// `emit_group(key, values)` once per key with all its values.  Used by
-// HybridHashReducer for demoted buckets and by the incremental reducers to
-// resolve their spill files.  `level` selects the hash-family member.
+// Recursively groups the records of `runs` (on-disk files of framed
+// (key, value-or-state) records) within `memory_budget` and calls
+// `emit(entry)` once per key.  With an aggregator the runs hold states, and
+// each key's states fold into the entry's one state; without one, the
+// entry lists every value of the key.  Used by HybridHashReducer for
+// demoted buckets and by the incremental store to resolve its spill runs.
+// `level` selects the hash-family member.
 void ExternalHashAggregate(
     const std::vector<std::filesystem::path>& runs, int level,
     std::size_t memory_budget, const RuntimeEnv& env,
-    const std::function<void(Slice key, const std::vector<Slice>& values)>&
-        emit_group,
+    const Aggregator* aggregator,
+    const std::function<void(const HashTable::Entry& entry)>& emit,
     bool compress = false);
 
 class HybridHashReducer {
@@ -88,23 +51,22 @@ class HybridHashReducer {
   std::uint64_t Run();
 
   [[nodiscard]] int buckets_spilled() const noexcept { return spilled_count_; }
+  // Bytes held by the buckets' in-memory tables.
+  [[nodiscard]] std::size_t ResidentBytes() const;
 
  private:
   static constexpr int kNumBuckets = 32;
 
   struct Bucket {
-    // Exactly one representation is active.
-    std::unique_ptr<HashValueTable> values;   // no aggregator
-    std::unique_ptr<class StateTable> states; // aggregator
-    std::unique_ptr<RecordSink> spill;        // demoted to disk
+    explicit Bucket(const Aggregator* aggregator) : table(aggregator) {}
+    HashTable table;                    // while resident
+    std::unique_ptr<RecordSink> spill;  // once demoted to disk
     std::filesystem::path spill_path;
-    std::uint64_t spill_records = 0;
   };
 
   void FoldRecord(Slice key, Slice value);
   void DemoteLargestBucket();
-  [[nodiscard]] std::size_t ResidentBytes() const;
-  void EmitResidentBucket(Bucket& bucket, OutputCollector& out);
+  void EmitEntry(const HashTable::Entry& entry, OutputCollector& out);
   void EmitSpilledBucket(Bucket& bucket, OutputCollector& out);
 
   int reducer_id_;
@@ -115,6 +77,7 @@ class HybridHashReducer {
   HashFamily family_{0x5eedf00dULL};
   std::vector<Bucket> buckets_;
   int spilled_count_ = 0;
+  std::string final_value_;  // Finalize scratch
 };
 
 }  // namespace opmr

@@ -113,7 +113,7 @@ std::uint64_t IncrementalHashReducer::Run() {
       PhaseScope cpu(env_.profiler, "hash_group");
       while (stream->Next()) {
         if (env_.fault != nullptr) env_.fault->OnReduceFold(++folded_);
-        StateTable::Entry& entry =
+        HashTable::Entry& entry =
             store_.Fold(stream->key(), stream->value(), values_are_states_);
         if (options_.early_emit && !entry.early_emitted &&
             options_.early_emit(stream->key(), entry.state)) {
@@ -154,10 +154,10 @@ std::uint64_t IncrementalHashReducer::Run() {
       ReducerOutput early(env_, spec_.output_file + ".early.part" +
                                     std::to_string(reducer_id_));
       std::string approx_value;
-      store_.table().ForEach([&](Slice key, const StateTable::Entry& entry) {
+      for (const auto& entry : store_.table().entries()) {
         spec_.aggregator->Finalize(entry.state, &approx_value);
-        early.Emit(key, approx_value);
-      });
+        early.Emit(entry.key, approx_value);
+      }
       early.Close();
     }
     if (ckpt_ == nullptr) {

@@ -1,5 +1,8 @@
 // Space-Saving (Metwally, Agrawal, El Abbadi 2005): the frequent-items
-// summary used by the hot-key incremental reducer.
+// summary used by the hot-key incremental reducer.  The paper's hot-key
+// reducer (§V, reduce technique 3) "borrow[s] an existing online frequent
+// algorithm to identify hot keys, and keep[s] hot keys in memory"; the
+// store demotes the key this summary evicts (OfferAndEvict).
 //
 // Maintains exactly `capacity` monitored keys.  On an unmonitored arrival
 // when full, the minimum-count entry is evicted and the newcomer inherits
@@ -13,23 +16,35 @@
 #include <unordered_map>
 #include <vector>
 
-#include "frequent/sketch.h"
+#include "common/hash.h"
+#include "common/slice.h"
 
 namespace opmr {
 
-class SpaceSaving final : public FrequentSketch {
+struct HeavyHitter {
+  std::string key;
+  std::uint64_t count_estimate = 0;  // upper bound on the true count
+  std::uint64_t error_bound = 0;     // count_estimate - error <= true count
+};
+
+class SpaceSaving {
  public:
   explicit SpaceSaving(std::size_t capacity);
 
-  void Offer(Slice key, std::uint64_t weight) override;
-  using FrequentSketch::Offer;
+  // Observes `weight` occurrences of `key`.
+  void Offer(Slice key, std::uint64_t weight = 1);
 
-  [[nodiscard]] std::uint64_t Estimate(Slice key) const override;
-  [[nodiscard]] bool IsMonitored(Slice key) const override;
-  [[nodiscard]] std::vector<HeavyHitter> Candidates() const override;
-  [[nodiscard]] std::size_t Size() const override { return entries_.size(); }
-  [[nodiscard]] std::size_t Capacity() const override { return capacity_; }
-  [[nodiscard]] std::uint64_t StreamLength() const override { return n_; }
+  // Estimated count for `key`; 0 if the key is not currently monitored.
+  [[nodiscard]] std::uint64_t Estimate(Slice key) const;
+  // True if `key` is currently one of the monitored (candidate-hot) keys.
+  [[nodiscard]] bool IsMonitored(Slice key) const;
+  // All monitored keys, most frequent first.
+  [[nodiscard]] std::vector<HeavyHitter> Candidates() const;
+  // Number of monitored keys / capacity of the summary.
+  [[nodiscard]] std::size_t Size() const { return entries_.size(); }
+  [[nodiscard]] std::size_t Capacity() const { return capacity_; }
+  // Total stream weight observed.
+  [[nodiscard]] std::uint64_t StreamLength() const { return n_; }
 
   // Error bound for a monitored key (0 if never recycled); part of the
   // (estimate, error) certificate Space-Saving provides.

@@ -66,7 +66,7 @@ class StreamingJob::Worker {
 
   std::optional<std::string> Query(Slice key) const {
     std::scoped_lock lock(state_mu_);
-    const StateTable::Entry* entry = store_.table().Find(key);
+    const HashTable::Entry* entry = store_.Find(key);
     if (entry == nullptr) return std::nullopt;
     std::string finalized;
     query_->aggregator->Finalize(entry->state, &finalized);
@@ -76,10 +76,10 @@ class StreamingJob::Worker {
   void CollectTop(std::vector<std::pair<std::string, std::string>>* out) const {
     std::scoped_lock lock(state_mu_);
     std::string finalized;
-    store_.table().ForEach([&](Slice key, const StateTable::Entry& entry) {
+    for (const auto& entry : store_.table().entries()) {
       query_->aggregator->Finalize(entry.state, &finalized);
-      out->emplace_back(key.ToString(), finalized);
-    });
+      out->emplace_back(entry.key.ToString(), finalized);
+    }
   }
 
   [[nodiscard]] std::uint64_t pairs() const {
@@ -209,7 +209,7 @@ class StreamingJob::Worker {
   }
 
   void Fold(Slice key, Slice value) {
-    StateTable::Entry& entry = store_.Fold(key, value, /*is_state=*/false);
+    HashTable::Entry& entry = store_.Fold(key, value, /*is_state=*/false);
     pairs_.fetch_add(1, std::memory_order_relaxed);
     if (options_->early_emit && !entry.early_emitted &&
         options_->early_emit(key, entry.state)) {

@@ -1,14 +1,11 @@
-// Frequent-items sketches: per-algorithm guarantees plus a parameterized
-// property suite run across all three summaries and several skew levels.
+// Space-Saving: its per-key guarantees plus a parameterized property suite
+// run across several skew levels.
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
 #include <string>
 
 #include "common/rng.h"
-#include "frequent/lossy_counting.h"
-#include "frequent/misra_gries.h"
 #include "frequent/space_saving.h"
 
 namespace opmr {
@@ -81,149 +78,49 @@ TEST(SpaceSaving, RejectsZeroCapacity) {
   EXPECT_THROW(SpaceSaving ss(0), std::invalid_argument);
 }
 
-// --- MisraGries-specific behaviour --------------------------------------------
-
-TEST(MisraGries, UnderestimatesByAtMostNOverK) {
-  MisraGries mg(9);
-  Rng rng(5);
-  std::map<std::string, std::uint64_t> truth;
-  constexpr int kN = 30'000;
-  for (int i = 0; i < kN; ++i) {
-    const std::string k = Key(rng.Uniform(50));
-    ++truth[k];
-    mg.Offer(k);
-  }
-  for (const auto& [k, f] : truth) {
-    const auto est = mg.Estimate(k);
-    EXPECT_LE(est, f) << k;                  // never overestimates
-    EXPECT_GE(est + kN / 10 + 1, f) << k;    // error <= N/(k+1)
-  }
-}
-
-TEST(MisraGries, WeightedDecrementSemantics) {
-  MisraGries mg(2);
-  mg.Offer("a", 10);
-  mg.Offer("b", 6);
-  mg.Offer("c", 4);  // decrements everyone by min(4, 10, 6) = 4
-  EXPECT_EQ(mg.Estimate("a"), 6u);
-  EXPECT_EQ(mg.Estimate("b"), 2u);
-  EXPECT_EQ(mg.Estimate("c"), 0u);
-  EXPECT_FALSE(mg.IsMonitored("c"));
-}
-
-TEST(MisraGries, GuaranteedHitterSurvives) {
-  MisraGries mg(4);
-  // "hot" has strict majority of a 2001-element stream.
-  for (int i = 0; i < 1'001; ++i) mg.Offer("hot");
-  Rng rng(6);
-  for (int i = 0; i < 1'000; ++i) mg.Offer(Key(rng.Uniform(500)));
-  EXPECT_TRUE(mg.IsMonitored("hot"));
-  EXPECT_GT(mg.Estimate("hot"), 0u);
-}
-
-// --- LossyCounting-specific behaviour -----------------------------------------
-
-TEST(LossyCounting, ErrorBoundedByEpsilonN) {
-  LossyCounting lc(0.01);
-  Rng rng(7);
-  std::map<std::string, std::uint64_t> truth;
-  constexpr int kN = 50'000;
-  for (int i = 0; i < kN; ++i) {
-    const std::string k = Key(rng.Uniform(40));
-    ++truth[k];
-    lc.Offer(k);
-  }
-  for (const auto& [k, f] : truth) {
-    const auto est = lc.Estimate(k);
-    EXPECT_LE(est, f) << k;
-    EXPECT_GE(est + static_cast<std::uint64_t>(0.01 * kN) + 1, f) << k;
-  }
-}
-
-TEST(LossyCounting, PrunesRareKeysAtBucketBoundaries) {
-  LossyCounting lc(0.1);  // width 10
-  lc.Offer("once");
-  for (int i = 0; i < 9; ++i) lc.Offer("frequent");
-  // Bucket boundary passed; "once" (count 1 + delta 0 <= bucket 1) pruned.
-  EXPECT_FALSE(lc.IsMonitored("once"));
-  EXPECT_TRUE(lc.IsMonitored("frequent"));
-}
-
-TEST(LossyCounting, WeightedOffersMatchRepeatedOffers) {
-  LossyCounting a(0.05), b(0.05);
-  Rng rng(8);
-  for (int i = 0; i < 500; ++i) {
-    const std::string k = Key(rng.Uniform(30));
-    const std::uint64_t w = 1 + rng.Uniform(7);
-    a.Offer(k, w);
-    for (std::uint64_t j = 0; j < w; ++j) b.Offer(k);
-  }
-  EXPECT_EQ(a.StreamLength(), b.StreamLength());
-  for (std::uint64_t r = 0; r < 30; ++r) {
-    EXPECT_EQ(a.Estimate(Key(r)), b.Estimate(Key(r))) << r;
-  }
-}
-
-TEST(LossyCounting, RejectsBadEpsilon) {
-  EXPECT_THROW(LossyCounting lc(0.0), std::invalid_argument);
-  EXPECT_THROW(LossyCounting lc(1.0), std::invalid_argument);
-}
-
-// --- Cross-sketch property suite ----------------------------------------------
-
-enum class SketchKind { kSpaceSaving, kMisraGries, kLossyCounting };
+// --- Property suite over skew levels -------------------------------------------
 
 struct SketchCase {
-  SketchKind kind;
-  double theta;
+  std::size_t capacity;  // monitored keys
+  double theta;          // Zipf skew of the stream
 };
 
 class SketchProperties : public ::testing::TestWithParam<SketchCase> {
  protected:
-  static std::unique_ptr<FrequentSketch> Make(SketchKind kind) {
-    switch (kind) {
-      case SketchKind::kSpaceSaving:
-        return std::make_unique<SpaceSaving>(64);
-      case SketchKind::kMisraGries:
-        return std::make_unique<MisraGries>(64);
-      case SketchKind::kLossyCounting:
-        return std::make_unique<LossyCounting>(1.0 / 64);
-    }
-    return nullptr;
-  }
+  static SpaceSaving Make() { return SpaceSaving(GetParam().capacity); }
 };
 
 TEST_P(SketchProperties, HeavyHittersAreMonitored) {
-  auto sketch = Make(GetParam().kind);
+  auto sketch = Make();
   ZipfSampler zipf(5'000, GetParam().theta, 11);
   std::map<std::uint64_t, std::uint64_t> truth;
   constexpr int kN = 60'000;
   for (int i = 0; i < kN; ++i) {
     const auto r = zipf.Sample();
     ++truth[r];
-    sketch->Offer(Key(r));
+    sketch.Offer(Key(r));
   }
   // Every key with frequency > N/32 (double the summary threshold) must be
-  // monitored by a 64-entry summary — all three algorithms guarantee it.
+  // monitored by a 64-entry summary.
   for (const auto& [rank, f] : truth) {
     if (f > kN / 32) {
-      EXPECT_TRUE(sketch->IsMonitored(Key(rank))) << "rank " << rank;
+      EXPECT_TRUE(sketch.IsMonitored(Key(rank))) << "rank " << rank;
     }
   }
 }
 
 TEST_P(SketchProperties, StreamLengthIsExact) {
-  auto sketch = Make(GetParam().kind);
+  auto sketch = Make();
   ZipfSampler zipf(100, GetParam().theta, 12);
-  for (int i = 0; i < 10'000; ++i) sketch->Offer(Key(zipf.Sample()));
-  EXPECT_EQ(sketch->StreamLength(), 10'000u);
+  for (int i = 0; i < 10'000; ++i) sketch.Offer(Key(zipf.Sample()));
+  EXPECT_EQ(sketch.StreamLength(), 10'000u);
 }
 
 TEST_P(SketchProperties, CandidatesSortedByEstimate) {
-  auto sketch = Make(GetParam().kind);
+  auto sketch = Make();
   ZipfSampler zipf(1'000, GetParam().theta, 13);
-  for (int i = 0; i < 30'000; ++i) sketch->Offer(Key(zipf.Sample()));
-  const auto candidates = sketch->Candidates();
+  for (int i = 0; i < 30'000; ++i) sketch.Offer(Key(zipf.Sample()));
+  const auto candidates = sketch.Candidates();
   ASSERT_FALSE(candidates.empty());
   for (std::size_t i = 1; i < candidates.size(); ++i) {
     EXPECT_GE(candidates[i - 1].count_estimate, candidates[i].count_estimate);
@@ -231,45 +128,27 @@ TEST_P(SketchProperties, CandidatesSortedByEstimate) {
 }
 
 TEST_P(SketchProperties, TopRankDominatesCandidates) {
-  auto sketch = Make(GetParam().kind);
+  auto sketch = Make();
   ZipfSampler zipf(1'000, std::max(0.8, GetParam().theta), 14);
-  for (int i = 0; i < 50'000; ++i) sketch->Offer(Key(zipf.Sample()));
-  const auto candidates = sketch->Candidates();
+  for (int i = 0; i < 50'000; ++i) sketch.Offer(Key(zipf.Sample()));
+  const auto candidates = sketch.Candidates();
   ASSERT_FALSE(candidates.empty());
   EXPECT_EQ(candidates.front().key, Key(0));
 }
 
 TEST_P(SketchProperties, SizeBoundedByCapacity) {
-  auto sketch = Make(GetParam().kind);
+  auto sketch = Make();
   Rng rng(15);
-  for (int i = 0; i < 20'000; ++i) sketch->Offer(Key(rng.Uniform(10'000)));
-  if (GetParam().kind != SketchKind::kLossyCounting) {
-    EXPECT_LE(sketch->Size(), sketch->Capacity());
-  } else {
-    // Lossy counting's bound is (1/eps)·log(eps·N) ≈ 64·log2-ish; generous.
-    EXPECT_LE(sketch->Size(), 64u * 12);
-  }
+  for (int i = 0; i < 20'000; ++i) sketch.Offer(Key(rng.Uniform(10'000)));
+  EXPECT_LE(sketch.Size(), sketch.Capacity());
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllSketchesAndSkews, SketchProperties,
-    ::testing::Values(SketchCase{SketchKind::kSpaceSaving, 0.5},
-                      SketchCase{SketchKind::kSpaceSaving, 1.0},
-                      SketchCase{SketchKind::kSpaceSaving, 1.3},
-                      SketchCase{SketchKind::kMisraGries, 0.5},
-                      SketchCase{SketchKind::kMisraGries, 1.0},
-                      SketchCase{SketchKind::kMisraGries, 1.3},
-                      SketchCase{SketchKind::kLossyCounting, 0.5},
-                      SketchCase{SketchKind::kLossyCounting, 1.0},
-                      SketchCase{SketchKind::kLossyCounting, 1.3}),
+    ::testing::Values(SketchCase{64, 0.5}, SketchCase{64, 1.0},
+                      SketchCase{64, 1.3}),
     [](const auto& info) {
-      std::string name;
-      switch (info.param.kind) {
-        case SketchKind::kSpaceSaving: name = "SpaceSaving"; break;
-        case SketchKind::kMisraGries: name = "MisraGries"; break;
-        case SketchKind::kLossyCounting: name = "LossyCounting"; break;
-      }
-      return name + "_theta" +
+      return "SpaceSaving_theta" +
              std::to_string(static_cast<int>(info.param.theta * 10));
     });
 

@@ -8,7 +8,9 @@
 #include "core/opmr.h"
 #include "engine/aggregators.h"
 #include "engine/reduce_hash.h"
+#include "engine/shuffle.h"
 #include "storage/file_manager.h"
+#include "storage/record_stream.h"
 #include "workloads/clickstream.h"
 #include "workloads/tasks.h"
 
@@ -42,9 +44,10 @@ TEST_F(ExternalAggregateTest, GroupsAllValuesPerKey) {
   const auto run = WriteRun({{"a", "1"}, {"b", "2"}, {"a", "3"}, {"c", "4"},
                              {"a", "5"}});
   std::map<std::string, std::size_t> group_sizes;
-  ExternalHashAggregate({run}, 0, 1 << 20, env_,
-                        [&](Slice key, const std::vector<Slice>& values) {
-                          group_sizes[key.ToString()] = values.size();
+  ExternalHashAggregate({run}, 0, 1 << 20, env_, /*aggregator=*/nullptr,
+                        [&](const HashTable::Entry& group) {
+                          group_sizes[group.key.ToString()] =
+                              group.values.size();
                         });
   EXPECT_EQ(group_sizes.at("a"), 3u);
   EXPECT_EQ(group_sizes.at("b"), 1u);
@@ -55,9 +58,9 @@ TEST_F(ExternalAggregateTest, MultipleRunsAreUnified) {
   const auto r1 = WriteRun({{"k", "1"}, {"x", "2"}});
   const auto r2 = WriteRun({{"k", "3"}});
   std::map<std::string, std::size_t> sizes;
-  ExternalHashAggregate({r1, r2}, 0, 1 << 20, env_,
-                        [&](Slice key, const std::vector<Slice>& values) {
-                          sizes[key.ToString()] = values.size();
+  ExternalHashAggregate({r1, r2}, 0, 1 << 20, env_, /*aggregator=*/nullptr,
+                        [&](const HashTable::Entry& group) {
+                          sizes[group.key.ToString()] = group.values.size();
                         });
   EXPECT_EQ(sizes.at("k"), 2u);
   EXPECT_EQ(sizes.at("x"), 1u);
@@ -76,9 +79,10 @@ TEST_F(ExternalAggregateTest, TinyBudgetForcesRecursionYetStaysExact) {
 
   std::map<std::string, std::uint64_t> actual;
   ExternalHashAggregate({run}, 0, /*budget=*/8 << 10, env_,
-                        [&](Slice key, const std::vector<Slice>& values) {
-                          actual[key.ToString()] +=
-                              static_cast<std::uint64_t>(values.size());
+                        /*aggregator=*/nullptr,
+                        [&](const HashTable::Entry& group) {
+                          actual[group.key.ToString()] +=
+                              static_cast<std::uint64_t>(group.values.size());
                         });
   EXPECT_EQ(actual, expected);
   EXPECT_GT(metrics_.Value(device::kSpillWrite), 0)
@@ -95,17 +99,107 @@ TEST_F(ExternalAggregateTest, GiantSingleKeyGroupDoesNotRecurseForever) {
   // Budget far below the single group's footprint: the single-key bucket
   // must be processed in memory instead of recursing.
   ExternalHashAggregate({run}, 0, /*budget=*/4 << 10, env_,
-                        [&](Slice key, const std::vector<Slice>& values) {
-                          ASSERT_EQ(key.ToString(), "hot");
-                          hot_count = values.size();
+                        /*aggregator=*/nullptr,
+                        [&](const HashTable::Entry& group) {
+                          ASSERT_EQ(group.key.ToString(), "hot");
+                          hot_count = group.values.size();
                         });
   EXPECT_EQ(hot_count, 5'000u);
 }
 
 TEST_F(ExternalAggregateTest, EmptyInputProducesNothing) {
   const auto run = WriteRun({});
-  ExternalHashAggregate({run}, 0, 1 << 20, env_,
-                        [&](Slice, const std::vector<Slice>&) { FAIL(); });
+  ExternalHashAggregate({run}, 0, 1 << 20, env_, /*aggregator=*/nullptr,
+                        [&](const HashTable::Entry&) { FAIL(); });
+}
+
+TEST_F(ExternalAggregateTest, StatesFoldIntoOneStatePerKey) {
+  // With an aggregator the runs hold states: each key's states fold into
+  // one, also across recursion levels.
+  std::vector<std::pair<std::string, std::string>> records;
+  std::map<std::string, std::uint64_t> expected;
+  Rng rng(10);
+  for (int i = 0; i < 20'000; ++i) {
+    const std::string k = "key" + std::to_string(rng.Uniform(500));
+    const std::uint64_t w = 1 + rng.Uniform(9);
+    records.emplace_back(k, EncodeValueU64(w));
+    expected[k] += w;
+  }
+  const auto run = WriteRun(records);
+  SumAggregator sum;
+  std::map<std::string, std::uint64_t> actual;
+  ExternalHashAggregate({run}, 0, /*budget=*/8 << 10, env_, &sum,
+                        [&](const HashTable::Entry& group) {
+                          EXPECT_TRUE(group.values.empty());
+                          const auto [it, fresh] = actual.emplace(
+                              group.key.ToString(),
+                              DecodeValueU64(group.state));
+                          EXPECT_TRUE(fresh) << it->first;
+                        });
+  EXPECT_EQ(actual, expected);
+  EXPECT_GT(metrics_.Value(device::kSpillWrite), 0)
+      << "an 8 KiB budget over 500 keys must spill";
+}
+
+// HybridHashReducer driven directly over one registered map-output file,
+// so the reducer object can be inspected after Run().
+using HybridHashReducerTest = ExternalAggregateTest;
+
+TEST_F(HybridHashReducerTest, EmitsResidentBucketsFirstAndFreesThem) {
+  std::vector<std::pair<std::string, std::string>> records;
+  std::map<std::string, std::uint64_t> expected;
+  Rng rng(12);
+  for (int i = 0; i < 20'000; ++i) {
+    const std::string k = "user" + std::to_string(rng.Uniform(2'000));
+    records.emplace_back(k, EncodeValueU64(1));
+    ++expected[k];
+  }
+  const auto run = WriteRun(records);
+
+  Dfs dfs(&files_, &metrics_, {.block_bytes = 1u << 20, .num_nodes = 1});
+  PhaseProfiler profiler;
+  TimelineRecorder timeline;
+  WallTimer start;
+  EmissionLog emissions(&start);
+  ShuffleService shuffle(1, 1, &metrics_, 64);
+  shuffle.RegisterFile(
+      {0, run, false, {{0, std::filesystem::file_size(run), records.size()}}});
+  shuffle.MapTaskDone(0, records.size(), records.size());
+  RuntimeEnv env = env_;
+  env.dfs = &dfs;
+  env.profiler = &profiler;
+  env.shuffle = &shuffle;
+  env.timeline = &timeline;
+  env.emissions = &emissions;
+  env.job_start = &start;
+
+  const JobSpec spec = PerUserCountJob("in", "out", 1);
+  JobOptions options = HashOnePassOptions();
+  options.hash_reduce = HashReduce::kHybridHash;
+  options.map_side_combine = false;
+  // ~2000 keys over 32 buckets: this budget keeps some buckets resident
+  // and demotes the rest.
+  options.reduce_buffer_bytes = 64u << 10;
+  HybridHashReducer reducer(0, spec, options, env);
+  EXPECT_EQ(reducer.Run(), expected.size());
+  EXPECT_GT(reducer.buckets_spilled(), 0);
+  EXPECT_LT(reducer.buckets_spilled(), 32);
+  // The emit phase released every resident bucket before it resolved the
+  // spilled ones.
+  EXPECT_EQ(reducer.ResidentBytes(), 0u);
+
+  std::map<std::string, std::uint64_t> actual;
+  for (const auto& block : dfs.ListBlocks("out.part0")) {
+    auto reader = dfs.OpenBlock(block);
+    Slice record;
+    while (reader->Next(&record)) {
+      MemoryRunStream frames(record);
+      while (frames.Next()) {
+        actual[frames.key().ToString()] = DecodeValueU64(frames.value());
+      }
+    }
+  }
+  EXPECT_EQ(actual, expected);
 }
 
 // --- Forced-stress integration through the platform ---------------------------
