@@ -57,6 +57,46 @@ class GroupValueIterator final : public ValueIterator {
 
 }  // namespace
 
+void EmissionLog::Record(std::uint64_t count) {
+  std::scoped_lock lock(mu_);
+  const double now = job_start_->Seconds();
+  if (total_ == 0) first_emit_s_ = now;
+  total_ += count;
+  // One curve point per stride keeps the series small at any scale.
+  if (total_ - last_logged_ >= kStride || last_logged_ == 0) {
+    series_.Append(now, static_cast<double>(total_));
+    last_logged_ = total_;
+  }
+}
+
+ReducerOutput::~ReducerOutput() { Publish(); }
+
+void ReducerOutput::Emit(Slice key, Slice value) {
+  if (env_.fault != nullptr) env_.fault->OnReduceRecord(records_ + 1);
+  frame_.clear();
+  AppendU32(frame_, static_cast<std::uint32_t>(key.size()));
+  AppendU32(frame_, static_cast<std::uint32_t>(value.size()));
+  frame_.append(key.data(), key.size());
+  frame_.append(value.data(), value.size());
+  writer_->Append(frame_);
+  ++records_;
+  if (++pending_ >= EmissionLog::kStride || records_ == 1) Publish();
+}
+
+void ReducerOutput::Close() {
+  Publish();
+  if (writer_ != nullptr) {
+    writer_->Close();
+    writer_.reset();
+  }
+}
+
+void ReducerOutput::Publish() {
+  if (pending_ == 0) return;
+  env_.emissions->Record(pending_);
+  pending_ = 0;
+}
+
 void GroupedApply(RecordStream& stream,
                   const std::function<void(Slice, ValueIterator&)>& fn,
                   std::size_t group_prefix) {

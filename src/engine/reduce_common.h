@@ -26,25 +26,23 @@
 
 namespace opmr {
 
-// Timestamps every emitted answer relative to job start; the cumulative
+// Timestamps emitted answers relative to job start; the cumulative
 // emission curve distinguishes batch output ("everything at the end") from
-// pipelined output, and is what the Table III bench prints.
+// pipelined output, and is what the Table III bench prints.  Writers
+// publish in batches (see ReducerOutput), so the first-emit time is exact
+// but a curve point can lag the records emitted before it by at most one
+// batch per output.
 class EmissionLog {
  public:
+  // Records per curve point, and per ReducerOutput publish.
+  static constexpr std::uint64_t kStride = 1024;
+
   explicit EmissionLog(const WallTimer* job_start)
       : job_start_(job_start), series_("emitted_records") {}
 
-  void Record(std::uint64_t count = 1) {
-    std::scoped_lock lock(mu_);
-    const double now = job_start_->Seconds();
-    if (total_ == 0) first_emit_s_ = now;
-    total_ += count;
-    // One curve point per stride keeps the series small at any scale.
-    if (total_ - last_logged_ >= stride_ || last_logged_ == 0) {
-      series_.Append(now, static_cast<double>(total_));
-      last_logged_ = total_;
-    }
-  }
+  // Adds `count` records emitted now.  Out of line: writers call it once
+  // per batch, off their per-record path.
+  void Record(std::uint64_t count = 1);
 
   void Finish() {
     std::scoped_lock lock(mu_);
@@ -66,7 +64,6 @@ class EmissionLog {
   mutable std::mutex mu_;
   std::uint64_t total_ = 0;
   std::uint64_t last_logged_ = 0;
-  std::uint64_t stride_ = 1024;
   double first_emit_s_ = -1.0;
   TimeSeries series_;
 };
@@ -108,38 +105,33 @@ struct RuntimeEnv {
   int map_node = -1;
 };
 
-// Writes one reducer's output into the DFS and logs emission times.
+// Writes one reducer's output into the DFS and counts it into the job's
+// EmissionLog.  The count is kept locally and published in batches, so the
+// per-record path takes no job-wide lock and reads no clock: the first
+// record publishes at once (first-answer time stays exact), later ones once
+// per EmissionLog::kStride, and the remainder at Close() — or at
+// destruction, so a failed or preempted attempt's records are still logged.
 class ReducerOutput final : public OutputCollector {
  public:
   ReducerOutput(const RuntimeEnv& env, const std::string& dfs_file)
       : env_(env), writer_(env.dfs->Create(dfs_file)) {}
+  ~ReducerOutput() override;
+  ReducerOutput(const ReducerOutput&) = delete;
+  ReducerOutput& operator=(const ReducerOutput&) = delete;
 
-  void Emit(Slice key, Slice value) override {
-    if (env_.fault != nullptr) env_.fault->OnReduceRecord(records_ + 1);
-    frame_.clear();
-    AppendU32(frame_, static_cast<std::uint32_t>(key.size()));
-    AppendU32(frame_, static_cast<std::uint32_t>(value.size()));
-    frame_.append(key.data(), key.size());
-    frame_.append(value.data(), value.size());
-    writer_->Append(frame_);
-    ++records_;
-    env_.emissions->Record();
-  }
-
-  void Close() {
-    if (writer_ != nullptr) {
-      writer_->Close();
-      writer_.reset();
-    }
-  }
+  void Emit(Slice key, Slice value) override;
+  void Close();
 
   [[nodiscard]] std::uint64_t records() const noexcept { return records_; }
 
  private:
+  void Publish();
+
   RuntimeEnv env_;
   std::unique_ptr<DfsFileWriter> writer_;
   std::string frame_;
   std::uint64_t records_ = 0;
+  std::uint64_t pending_ = 0;  // emitted, not yet published to the log
 };
 
 // Applies `fn(key, values)` to each group of consecutive equal keys in a

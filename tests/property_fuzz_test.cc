@@ -33,6 +33,11 @@ struct FuzzConfig {
   bool compress = false;
 };
 
+// Prints the config's name: gtest would otherwise print the parameter's raw
+// bytes, a std::string heap pointer included, and the listed test names
+// would change from one build to the next.
+void PrintTo(const FuzzConfig& cfg, std::ostream* os) { *os << cfg.name; }
+
 class CountingFuzz : public ::testing::TestWithParam<FuzzConfig> {};
 
 // Seeds chosen per-test for variety but deterministic reproduction.
@@ -183,9 +188,7 @@ struct HolisticConfig {
   std::size_t buffers;
 };
 
-// Without a printer gtest dumps the raw bytes of the parameter, which
-// include the std::string's heap pointer, so the listed test name would
-// change with address-space layout from one test discovery to the next.
+// Named for the same reason as FuzzConfig.
 void PrintTo(const HolisticConfig& cfg, std::ostream* os) { *os << cfg.name; }
 
 class HolisticFuzz : public ::testing::TestWithParam<HolisticConfig> {};

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <thread>
 #include <vector>
 
 #include "engine/aggregators.h"
+#include "storage/file_manager.h"
 #include "storage/record_stream.h"
 
 namespace opmr {
@@ -206,6 +208,94 @@ TEST(EmissionLog, SeriesIsCumulativeNonDecreasing) {
     EXPECT_GE(samples[i].value, samples[i - 1].value);
   }
   EXPECT_DOUBLE_EQ(samples.back().value, 5000.0);
+}
+
+// --- ReducerOutput: batched publishing into the job's EmissionLog ----------
+
+class ReducerOutputTest : public ::testing::Test {
+ protected:
+  ReducerOutputTest()
+      : files_(FileManager::CreateTemp("opmr-reducer-output")),
+        dfs_(&files_, &metrics_, {.block_bytes = 1u << 20, .num_nodes = 1}),
+        log_(&start_) {
+    env_.dfs = &dfs_;
+    env_.emissions = &log_;
+    env_.job_start = &start_;
+  }
+
+  static void EmitN(ReducerOutput& out, std::uint64_t n) {
+    for (std::uint64_t i = 0; i < n; ++i) out.Emit("key", "value");
+  }
+
+  FileManager files_;
+  MetricRegistry metrics_;
+  Dfs dfs_;
+  WallTimer start_;
+  EmissionLog log_;
+  RuntimeEnv env_;
+};
+
+TEST_F(ReducerOutputTest, FirstRecordPublishesAtOnce) {
+  ReducerOutput out(env_, "out.part0");
+  EXPECT_LT(log_.first_emit_seconds(), 0.0);
+  out.Emit("k", "v");
+  EXPECT_GE(log_.first_emit_seconds(), 0.0);
+  EXPECT_EQ(log_.total(), 1u);
+  out.Close();
+  EXPECT_EQ(log_.total(), 1u);
+}
+
+TEST_F(ReducerOutputTest, LaterRecordsPublishOncePerStride) {
+  constexpr std::uint64_t kStride = EmissionLog::kStride;
+  ReducerOutput out(env_, "out.part0");
+  EmitN(out, 1 + kStride - 2);
+  EXPECT_EQ(log_.total(), 1u) << "records after the first wait for a batch";
+  EmitN(out, 1);
+  EXPECT_EQ(log_.total(), 1u);
+  EmitN(out, 1);
+  EXPECT_EQ(log_.total(), 1 + kStride) << "a full batch publishes";
+  EmitN(out, kStride - 1);
+  EXPECT_EQ(log_.total(), 1 + kStride);
+  EmitN(out, 7);
+  EXPECT_EQ(log_.total(), 1 + 2 * kStride);
+  out.Close();
+  EXPECT_EQ(log_.total(), 1 + 2 * kStride + 6) << "Close publishes the rest";
+  EXPECT_EQ(out.records(), log_.total());
+}
+
+TEST_F(ReducerOutputTest, DestroyedWithoutClosePublishesItsCount) {
+  {
+    // A failed or preempted attempt unwinds without calling Close().
+    ReducerOutput out(env_, "out.part0");
+    EmitN(out, 5000);
+    EXPECT_LT(log_.total(), 5000u);
+  }
+  EXPECT_EQ(log_.total(), 5000u);
+}
+
+TEST_F(ReducerOutputTest, ConcurrentOutputsShareOneLog) {
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kPerThread = 100'000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([this, t] {
+      ReducerOutput out(env_, "out.part" + std::to_string(t));
+      EmitN(out, kPerThread);
+      out.Close();
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(log_.total(), kThreads * kPerThread);
+
+  log_.Finish();
+  const auto samples = log_.series().Snapshot();
+  ASSERT_FALSE(samples.empty());
+  for (std::size_t i = 1; i < samples.size(); ++i) {
+    EXPECT_GE(samples[i].time_s, samples[i - 1].time_s);
+    EXPECT_GE(samples[i].value, samples[i - 1].value);
+  }
+  EXPECT_DOUBLE_EQ(samples.back().value,
+                   static_cast<double>(kThreads * kPerThread));
 }
 
 }  // namespace
